@@ -150,6 +150,10 @@ type Writer struct {
 	syncEvery int
 	pending   int
 	failed    error
+	// sealed is the ledger's sealed segments in rotation order: the seal
+	// index at open, appended to by Rotate, so neither replay nor the next
+	// rotation lists the directory.
+	sealed []string
 
 	records   int64
 	bytes     int64
@@ -164,94 +168,106 @@ func OpenWriter(path string, opts ...WriterOption) (*Writer, error) {
 	return OpenWriterFS(fsio.OS, path, opts...)
 }
 
-// OpenWriterFS opens (or creates) the active segment of the ledger at
-// path for appending, on the given filesystem. An existing file is
-// scanned first: a torn tail — an incomplete frame or a checksum
-// mismatch, as left by a crash mid-append — is truncated away so
-// appending resumes after the last intact record. A file holding a torn
-// prefix of the header itself (a power cut during creation) is rewritten
-// from scratch. A file that is not a ledger (bad magic or version) is an
-// error, never overwritten. Sealed sibling segments are left untouched;
-// Replay reads them, OpenWriterFS only appends to the active segment.
+// OpenWriterFS lists path's directory for its sealed segments and opens
+// the ledger with Open — the entry point for tools and tests that hold no
+// Index.
 func OpenWriterFS(fsys fsio.FS, path string, opts ...WriterOption) (*Writer, error) {
-	w := &Writer{fsys: fsys, path: path, syncEvery: 1}
+	seals, err := sealsOf(fsys, path)
+	if err != nil {
+		return nil, err
+	}
+	w, _, err := Open(fsys, path, seals, opts...)
+	return w, err
+}
+
+// Open opens (or creates) the ledger at path for appending, in one pass
+// over its bytes: seals (its sealed segments in rotation order, from
+// ListDir) and then the active segment are each read once, and every
+// frame is CRC-checked, kind-checked and decoded. The returned Tail is the
+// end of the record stream — what a resuming caller needs instead of a
+// second replay. In the active segment a torn tail — an incomplete frame
+// or a checksum mismatch, as left by a crash mid-append — is truncated
+// away so appending resumes after the last intact record, and a torn
+// prefix of the header itself (a power cut during creation) is rewritten.
+// A file that is not a ledger (bad magic or version) or holds an
+// undecodable record is an error, never overwritten. Seals are only read.
+func Open(fsys fsio.FS, path string, seals []string, opts ...WriterOption) (*Writer, Tail, error) {
+	// seals is copied: Rotate appends, and the caller's index keeps its own.
+	w := &Writer{fsys: fsys, path: path, syncEvery: 1, sealed: append([]string(nil), seals...)}
 	for _, o := range opts {
 		o(w)
 	}
+	var tail Tail
+	for _, seg := range seals {
+		if _, _, err := scanFile(fsys, seg, tail.visit); err != nil {
+			return nil, Tail{}, err
+		}
+	}
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("ledger: %w", err)
+		return nil, Tail{}, fmt.Errorf("ledger: %w", err)
 	}
-	st, err := f.Stat()
-	if err != nil {
+	if err := w.recoverActive(f, &tail); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("ledger: %w", err)
-	}
-	size := st.Size()
-	if size > 0 && size < headerLen {
-		// A crash during segment creation can leave a prefix of the header.
-		// Only a byte-prefix of the canonical header is recovered this way —
-		// anything else is a foreign file we refuse to clobber.
-		data, err := io.ReadAll(f)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("ledger: %w", err)
-		}
-		if !bytes.HasPrefix(headerBytes(), data) {
-			f.Close()
-			return nil, fmt.Errorf("ledger: %s: not a ledger file (torn non-ledger prefix)", path)
-		}
-		if err := f.Truncate(0); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("ledger: %w", err)
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("ledger: %w", err)
-		}
-		w.recovered = size
-		size = 0
-	}
-	if size == 0 {
-		if err := writeHeader(fsys, f, path); err != nil {
-			f.Close()
-			return nil, err
-		}
-		w.bytes = headerLen
-	} else {
-		data, err := io.ReadAll(f)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("ledger: %w", err)
-		}
-		good, records, err := scanFrames(data, nil)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("ledger: %s: %w", path, err)
-		}
-		if good < int64(len(data)) {
-			// Crash recovery: drop the torn tail and persist the cut so a
-			// second crash cannot resurrect it.
-			w.recovered = int64(len(data)) - good
-			if err := f.Truncate(good); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("ledger: truncating torn tail of %s: %w", path, err)
-			}
-			if err := f.Sync(); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("ledger: %w", err)
-			}
-		}
-		if _, err := f.Seek(good, io.SeekStart); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("ledger: %w", err)
-		}
-		w.records = records
-		w.bytes = good
+		return nil, Tail{}, err
 	}
 	w.f = f
 	w.bw = bufio.NewWriterSize(f, 1<<16)
-	return w, nil
+	return w, tail, nil
+}
+
+// recoverActive reads the active segment through its append handle (one
+// sized read), repairs what a crash can leave, and positions f for
+// appending.
+func (w *Writer) recoverActive(f fsio.File, tail *Tail) error {
+	st, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("ledger: %w", err)
+	}
+	data := make([]byte, st.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		return fmt.Errorf("ledger: %w", err)
+	}
+	if len(data) > 0 && len(data) < headerLen {
+		// A crash during segment creation can leave a prefix of the header.
+		// Only a byte-prefix of the canonical header is recovered this way —
+		// anything else is a foreign file we refuse to clobber.
+		if !bytes.HasPrefix(headerBytes(), data) {
+			return fmt.Errorf("ledger: %s: not a ledger file (torn non-ledger prefix)", w.path)
+		}
+		if err := f.Truncate(0); err != nil {
+			return fmt.Errorf("ledger: %w", err)
+		}
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			return fmt.Errorf("ledger: %w", err)
+		}
+		w.recovered = int64(len(data))
+		data = nil
+	}
+	if len(data) == 0 {
+		w.bytes = headerLen
+		return writeHeader(w.fsys, f, w.path)
+	}
+	good, records, err := scanFrames(w.path, data, tail.visit)
+	if err != nil {
+		return err
+	}
+	if good < int64(len(data)) {
+		// Crash recovery: drop the torn tail and persist the cut so a
+		// second crash cannot resurrect it.
+		w.recovered = int64(len(data)) - good
+		if err := f.Truncate(good); err != nil {
+			return fmt.Errorf("ledger: truncating torn tail of %s: %w", w.path, err)
+		}
+		if err := f.Sync(); err != nil {
+			return fmt.Errorf("ledger: %w", err)
+		}
+		if _, err := f.Seek(good, io.SeekStart); err != nil {
+			return fmt.Errorf("ledger: %w", err)
+		}
+	}
+	w.records, w.bytes = records, good
+	return nil
 }
 
 // headerBytes returns the canonical segment header.
@@ -345,11 +361,15 @@ func (w *Writer) AppendLineItem(it LineItem) error {
 }
 
 // Sync flushes buffered frames and fsyncs the file: every record appended
-// so far is durable when Sync returns. A flush or fsync error poisons the
-// writer (the segment tail state is unknown after a failed fsync).
+// so far is durable when Sync returns (a no-op when none was since the
+// last Sync). A flush or fsync error poisons the writer (the segment tail
+// state is unknown after a failed fsync).
 func (w *Writer) Sync() error {
 	if w.failed != nil {
 		return w.poisonErr()
+	}
+	if w.pending == 0 {
+		return nil
 	}
 	if err := w.bw.Flush(); err != nil {
 		return w.fail(fmt.Errorf("ledger: %w", err))
@@ -381,20 +401,20 @@ func (w *Writer) Rotate() error {
 		w.f = nil
 		w.bw = nil
 	}
-	dir := filepath.Dir(w.path)
-	seq, err := nextSealSeq(w.fsys, w.path)
-	if err != nil {
-		return w.fail(fmt.Errorf("ledger: rotate: %w", err))
+	seq := 1
+	if n := len(w.sealed); n > 0 {
+		_, last, _ := parseSeal(w.sealed[n-1])
+		seq = last + 1
 	}
-	sealPath := w.path + sealSuffix + fmt.Sprintf("%06d", seq)
-	if err := w.fsys.Rename(w.path, sealPath); err != nil {
+	sealPath := fmt.Sprintf("%s%s%06d", w.path, sealSuffix, seq)
+	if err := w.fsys.Rename(w.path, sealPath); err == nil {
+		w.sealed = append(w.sealed, sealPath)
+	} else if !errors.Is(err, os.ErrNotExist) {
 		// A missing active segment means a previous Rotate attempt already
 		// renamed it (and failed later) — resume from there.
-		if !errors.Is(err, os.ErrNotExist) {
-			return w.fail(fmt.Errorf("ledger: rotate: %w", err))
-		}
+		return w.fail(fmt.Errorf("ledger: rotate: %w", err))
 	}
-	if err := w.fsys.SyncDir(dir); err != nil {
+	if err := w.fsys.SyncDir(filepath.Dir(w.path)); err != nil {
 		return w.fail(fmt.Errorf("ledger: rotate: %w", err))
 	}
 	f, err := w.fsys.OpenFile(w.path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -415,62 +435,63 @@ func (w *Writer) Rotate() error {
 	return nil
 }
 
-// nextSealSeq returns one past the highest existing seal sequence number
-// for path's segments.
-func nextSealSeq(fsys fsio.FS, path string) (int, error) {
-	seals, err := sealPaths(fsys, path)
+// parseSeal splits a sealed segment's base name, "<active>.seal-NNNNNN",
+// into the active segment's base name and the sequence number.
+func parseSeal(base string) (active string, seq int, ok bool) {
+	i := strings.LastIndex(base, sealSuffix)
+	if i <= 0 {
+		return "", 0, false
+	}
+	seq, err := strconv.Atoi(base[i+len(sealSuffix):])
+	return base[:i], seq, err == nil && seq > 0
+}
+
+// Index is the seal index of one ledger directory: every ledger in it,
+// keyed by the base name of its active segment, with the paths of its
+// sealed segments in rotation order. A ledger whose active segment is
+// absent (a crash between a rotation's rename and the fresh create) is
+// present through its seals.
+type Index map[string][]string
+
+// ListDir lists dir once and indexes every ledger segment in it.
+func ListDir(fsys fsio.FS, dir string) (Index, error) {
+	return listDir(fsys, dir, "")
+}
+
+// sealsOf lists path's directory for the sealed segments of one ledger.
+func sealsOf(fsys fsio.FS, path string) ([]string, error) {
+	idx, err := listDir(fsys, filepath.Dir(path), filepath.Base(path))
 	if err != nil {
-		return 0, err
+		return nil, fmt.Errorf("ledger: %w", err)
 	}
-	max := 0
-	for _, s := range seals {
-		if n, ok := sealSeq(filepath.Base(path), filepath.Base(s)); ok && n > max {
-			max = n
-		}
-	}
-	return max + 1, nil
+	return idx[filepath.Base(path)], nil
 }
 
-// sealSeq extracts the sequence number from a sealed segment's base name.
-func sealSeq(activeBase, base string) (int, bool) {
-	rest, ok := strings.CutPrefix(base, activeBase+sealSuffix)
-	if !ok {
-		return 0, false
-	}
-	n, err := strconv.Atoi(rest)
-	if err != nil || n <= 0 {
-		return 0, false
-	}
-	return n, true
-}
-
-// sealPaths lists path's sealed segments in rotation order.
-func sealPaths(fsys fsio.FS, path string) ([]string, error) {
-	dir := filepath.Dir(path)
-	base := filepath.Base(path)
+// listDir indexes the segments in dir whose names start with prefix.
+func listDir(fsys fsio.FS, dir, prefix string) (Index, error) {
 	ents, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	type seal struct {
-		path string
-		seq  int
-	}
-	var seals []seal
+	idx := Index{}
 	for _, e := range ents {
-		if e.IsDir() {
+		if e.IsDir() || !strings.HasPrefix(e.Name(), prefix) {
 			continue
 		}
-		if n, ok := sealSeq(base, e.Name()); ok {
-			seals = append(seals, seal{path: filepath.Join(dir, e.Name()), seq: n})
+		if active, _, ok := parseSeal(e.Name()); ok {
+			idx[active] = append(idx[active], filepath.Join(dir, e.Name()))
+		} else if _, seen := idx[e.Name()]; !seen {
+			idx[e.Name()] = nil
 		}
 	}
-	sort.Slice(seals, func(i, j int) bool { return seals[i].seq < seals[j].seq })
-	out := make([]string, len(seals))
-	for i, s := range seals {
-		out[i] = s.path
+	for _, seals := range idx {
+		sort.Slice(seals, func(i, j int) bool {
+			_, a, _ := parseSeal(seals[i])
+			_, b, _ := parseSeal(seals[j])
+			return a < b
+		})
 	}
-	return out, nil
+	return idx, nil
 }
 
 // Close syncs and closes the file. A poisoned writer skips the sync —

@@ -193,8 +193,8 @@ func TestWriterReplayRoundTrip(t *testing.T) {
 			t.Fatalf("line item %d drifted: got %+v want %+v", i, items[i], want)
 		}
 	}
-	if li := log.LastDecisionInterval(); li != recs[len(recs)-1].Interval {
-		t.Fatalf("LastDecisionInterval = %d, want %d", li, recs[len(recs)-1].Interval)
+	if tail := log.Tail(); tail.Unbilled || tail.Last.Interval != recs[len(recs)-1].Interval {
+		t.Fatalf("Tail = %+v, want billed interval %d", tail, recs[len(recs)-1].Interval)
 	}
 }
 

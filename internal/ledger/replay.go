@@ -75,58 +75,100 @@ func (l *Log) TotalCost() float64 {
 	return t
 }
 
-// LastDecisionInterval returns the interval of the last decision record,
-// or -1 when the log holds none. The serving daemon resumes a tenant's
-// ingest watermark from it after a restart.
-func (l *Log) LastDecisionInterval() int {
-	for i := len(l.Entries) - 1; i >= 0; i-- {
-		if l.Entries[i].Decision != nil {
-			return l.Entries[i].Decision.Interval
-		}
-	}
-	return -1
+// Tail is the end of a ledger's record stream: everything a resuming
+// caller needs from a replay without keeping the records.
+type Tail struct {
+	// Last is the last decision record (nil for a ledger holding none).
+	Last *loop.DecisionRecord
+	// Unbilled reports that Last is the final record — the line item
+	// derived from it never reached disk (a torn tail can cut between the
+	// two) and the caller must append it.
+	Unbilled bool
 }
 
-// scanFrames walks the framed region of a ledger image, calling visit (when
-// non-nil) with each intact frame's kind and payload. It returns the byte
-// offset just past the last intact frame and the frame count. A bad header
-// is an error; a torn or checksum-failing tail simply ends the scan — the
-// returned offset is the recovery point.
-func scanFrames(data []byte, visit func(kind byte, payload []byte) error) (good int64, frames int64, err error) {
+// visit advances the tail over one more record.
+func (t *Tail) visit(e Entry) {
+	t.Unbilled = e.Decision != nil
+	if t.Unbilled {
+		t.Last = e.Decision
+	}
+}
+
+// Tail returns the end of the log's record stream.
+func (l *Log) Tail() Tail {
+	var t Tail
+	for _, e := range l.Entries {
+		t.visit(e)
+	}
+	return t
+}
+
+// scanFrames walks the framed region of one segment image (read from
+// path), decoding each intact frame and handing it to visit. It is the
+// only frame reader: open, the query endpoints and ReplayFS all go through
+// it. It returns the byte offset just past the last intact frame and the
+// frame count. A bad header, an unknown record kind and an undecodable
+// payload are errors; a torn or checksum-failing tail simply ends the
+// scan — the returned offset is the recovery point.
+func scanFrames(path string, data []byte, visit func(Entry)) (good int64, frames int64, err error) {
+	fail := func(err error) (int64, int64, error) {
+		return good, frames, fmt.Errorf("ledger: %s: %w", path, err)
+	}
 	if len(data) < headerLen {
-		return 0, 0, fmt.Errorf("file is shorter than a ledger header")
+		return fail(fmt.Errorf("file is shorter than a ledger header"))
 	}
 	if binary.LittleEndian.Uint32(data[0:]) != Magic {
-		return 0, 0, fmt.Errorf("not a ledger file (bad magic)")
+		return fail(fmt.Errorf("not a ledger file (bad magic)"))
 	}
 	if v := binary.LittleEndian.Uint32(data[4:]); v != Version {
-		return 0, 0, fmt.Errorf("ledger format version %d, this build reads %d", v, Version)
+		return fail(fmt.Errorf("ledger format version %d, this build reads %d", v, Version))
 	}
-	off := int64(headerLen)
+	good = headerLen
 	for {
-		rest := data[off:]
+		rest := data[good:]
 		if len(rest) < frameOverhead {
-			return off, frames, nil // clean end or torn frame head
+			return good, frames, nil // clean end or torn frame head
 		}
 		kind := rest[0]
 		plen := binary.LittleEndian.Uint32(rest[1:])
 		if plen > maxPayload || int64(len(rest)) < int64(frameOverhead)+int64(plen) {
-			return off, frames, nil // torn payload (or torn length field)
+			return good, frames, nil // torn payload (or torn length field)
 		}
 		payload := rest[5 : 5+plen]
 		crc := crc32.Update(0, crcTable, rest[:5])
 		crc = crc32.Update(crc, crcTable, payload)
 		if binary.LittleEndian.Uint32(rest[5+plen:]) != crc {
-			return off, frames, nil // checksum mismatch: treat as torn tail
+			return good, frames, nil // checksum mismatch: treat as torn tail
 		}
-		if visit != nil {
-			if err := visit(kind, payload); err != nil {
-				return off, frames, err
+		switch kind {
+		case KindDecision:
+			r, err := DecodeDecision(payload)
+			if err != nil {
+				return fail(err)
 			}
+			visit(Entry{Kind: kind, Decision: &r})
+		case KindLineItem:
+			it, err := DecodeLineItem(payload)
+			if err != nil {
+				return fail(err)
+			}
+			visit(Entry{Kind: kind, Item: &it})
+		default:
+			return fail(fmt.Errorf("unknown record kind %d (written by a newer version?)", kind))
 		}
-		off += int64(frameOverhead) + int64(plen)
+		good += int64(frameOverhead) + int64(plen)
 		frames++
 	}
+}
+
+// scanFile reads one segment file whole and scans it.
+func scanFile(fsys fsio.FS, path string, visit func(Entry)) (good int64, torn bool, err error) {
+	data, err := fsys.ReadFile(path)
+	if err != nil {
+		return 0, false, fmt.Errorf("ledger: %w", err)
+	}
+	good, _, err = scanFrames(path, data, visit)
+	return good, good < int64(len(data)), err
 }
 
 // Replay reads a ledger back into memory from the real filesystem. See
@@ -135,67 +177,54 @@ func Replay(path string) (*Log, error) {
 	return ReplayFS(fsio.OS, path)
 }
 
-// ReplayFS reads a ledger back into memory: every intact record of every
-// segment — sealed segments in rotation order, then the active file — in
-// append order, byte-faithfully decoded. It is the inverse of the Writer:
-// for any recorded run, Decisions() equals the live Collector's records
-// and the line-items re-derive the bill exactly, across rotations. A torn
-// tail is reported via Log.Truncated, not an error; an unreadable or
-// non-ledger segment is an error. An absent active file is tolerated when
-// sealed segments exist (a crash can land between the rotation's rename
-// and the new segment's create); with no segments at all the path's
-// os.ErrNotExist surfaces.
+// ReplayFS lists path's directory for its sealed segments and replays the
+// ledger: every intact record of every segment — sealed segments in
+// rotation order, then the active file — in append order, byte-faithfully
+// decoded. It is the inverse of the Writer: for any recorded run,
+// Decisions() equals the live Collector's records and the line-items
+// re-derive the bill exactly, across rotations. A torn tail is reported
+// via Log.Truncated, not an error; an unreadable or non-ledger segment is
+// an error. An absent active file is tolerated when sealed segments exist
+// (a crash can land between the rotation's rename and the new segment's
+// create); with no segments at all the path's os.ErrNotExist surfaces.
 func ReplayFS(fsys fsio.FS, path string) (*Log, error) {
-	seals, err := sealPaths(fsys, path)
+	seals, err := sealsOf(fsys, path)
 	if err != nil {
-		return nil, fmt.Errorf("ledger: %w", err)
+		return nil, err
 	}
+	return replaySegments(fsys, seals, path)
+}
+
+// Replay replays the writer's own ledger — its remembered sealed segments,
+// then the active one — without listing the directory. Records still
+// buffered are not on disk yet; Sync first to see them.
+func (w *Writer) Replay() (*Log, error) {
+	return replaySegments(w.fsys, w.sealed, w.path)
+}
+
+// replaySegments decodes seals, then the active segment, into one Log.
+func replaySegments(fsys fsio.FS, seals []string, active string) (*Log, error) {
 	log := &Log{}
 	for _, seg := range seals {
-		if err := replaySegment(fsys, seg, log); err != nil {
+		if err := log.replaySegment(fsys, seg); err != nil {
 			return nil, err
 		}
 	}
-	if err := replaySegment(fsys, path, log); err != nil {
-		if len(seals) > 0 && errors.Is(err, os.ErrNotExist) {
-			return log, nil
-		}
+	if err := log.replaySegment(fsys, active); err != nil && (len(seals) == 0 || !errors.Is(err, os.ErrNotExist)) {
 		return nil, err
 	}
 	return log, nil
 }
 
-// replaySegment decodes one segment file into log.
-func replaySegment(fsys fsio.FS, path string, log *Log) error {
-	data, err := fsys.ReadFile(path)
+// replaySegment decodes one segment file into the log.
+func (l *Log) replaySegment(fsys fsio.FS, path string) error {
+	good, torn, err := scanFile(fsys, path, func(e Entry) { l.Entries = append(l.Entries, e) })
 	if err != nil {
-		return fmt.Errorf("ledger: %w", err)
+		return err
 	}
-	good, _, err := scanFrames(data, func(kind byte, payload []byte) error {
-		switch kind {
-		case KindDecision:
-			r, err := DecodeDecision(payload)
-			if err != nil {
-				return err
-			}
-			log.Entries = append(log.Entries, Entry{Kind: kind, Decision: &r})
-		case KindLineItem:
-			it, err := DecodeLineItem(payload)
-			if err != nil {
-				return err
-			}
-			log.Entries = append(log.Entries, Entry{Kind: kind, Item: &it})
-		default:
-			return fmt.Errorf("ledger: unknown record kind %d (written by a newer version?)", kind)
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("ledger: %s: %w", path, err)
-	}
-	log.GoodBytes += good
-	log.Truncated = log.Truncated || good < int64(len(data))
-	log.Segments++
+	l.GoodBytes += good
+	l.Truncated = l.Truncated || torn
+	l.Segments++
 	return nil
 }
 

@@ -135,6 +135,10 @@ type Server struct {
 	now           func() time.Time
 	mux           *http.ServeMux
 	metrics       *metrics
+	// index is the one listing of LedgerDir, taken in New and read-only
+	// after. It is consulted only to open a tenant; from then on the
+	// writer keeps its own seal list, and residents are never evicted.
+	index ledger.Index
 
 	mu       sync.RWMutex
 	tenants  map[string]*tenant
@@ -166,6 +170,10 @@ func New(cfg Config) (*Server, error) {
 	}
 	if err := s.fs.MkdirAll(cfg.LedgerDir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
+	}
+	var err error
+	if s.index, err = ledger.ListDir(s.fs, cfg.LedgerDir); err != nil {
+		return nil, fmt.Errorf("serve: listing ledgers: %w", err)
 	}
 	if s.cat == nil {
 		s.cat = resource.DefaultCatalog()
@@ -240,45 +248,88 @@ func (s *Server) newBucket() *tokenBucket {
 	return newTokenBucket(s.cfg.RatePerSec, burst, s.now())
 }
 
-// getTenant returns the tenant pipeline for id, creating (and possibly
-// ledger-resuming) it on first sight.
-func (s *Server) getTenant(id string) (*tenant, int, error) {
-	s.mu.RLock()
-	t, ok := s.tenants[id]
-	draining := s.draining
-	s.mu.RUnlock()
-	if ok {
+// getTenant returns the tenant pipeline for id, opening it (resuming from
+// its ledger) on first sight. With create unset — the read endpoints — an
+// id that has no ledger on disk is 404 and nothing is created.
+//
+// Server.mu covers only the map: a first touch inserts the tenant with its
+// own lock held and opens the ledger outside the map lock, so distinct
+// tenants recover in parallel and residents are never behind a recovery.
+// A concurrent touch of the same id waits on the tenant's lock; a failed
+// open removes the entry before releasing it, and the waiter tries again.
+func (s *Server) getTenant(id string, create bool) (*tenant, int, error) {
+	for {
+		s.mu.RLock()
+		t, ok := s.tenants[id]
+		draining := s.draining
+		s.mu.RUnlock()
+		if ok {
+			if !t.ready.Load() {
+				t.mu.Lock() // opening: wait for the opener
+				t.mu.Unlock()
+				if !t.ready.Load() {
+					continue
+				}
+			}
+			return t, http.StatusOK, nil
+		}
+		if _, onDisk := s.index[id+ledgerExt]; !create && !onDisk {
+			return nil, http.StatusNotFound, fmt.Errorf("unknown tenant %q", id)
+		}
+		if draining {
+			return nil, http.StatusServiceUnavailable, fmt.Errorf("serve: draining")
+		}
+		s.mu.Lock()
+		if _, ok := s.tenants[id]; ok || s.draining {
+			s.mu.Unlock()
+			continue
+		}
+		if s.cfg.MaxTenants > 0 && len(s.tenants) >= s.cfg.MaxTenants {
+			s.mu.Unlock()
+			return nil, http.StatusServiceUnavailable, fmt.Errorf("serve: tenant limit (%d) reached", s.cfg.MaxTenants)
+		}
+		t = &tenant{id: id, srv: s}
+		t.mu.Lock()
+		s.tenants[id] = t
+		s.mu.Unlock()
+
+		err := t.open()
+		s.mu.Lock()
+		if err == nil && s.draining {
+			// Close ran meanwhile and skipped this tenant: nothing was
+			// ingested, so releasing the handle is the whole drain.
+			t.led.Close()
+			err = fmt.Errorf("serve: draining")
+		}
+		if err != nil {
+			delete(s.tenants, id)
+		} else {
+			t.ready.Store(true)
+		}
+		s.mu.Unlock()
+		t.mu.Unlock()
+		if err != nil {
+			// A tenant that cannot open its ledger is a storage refusal, not
+			// a server bug: 503, retry once the disk recovers.
+			return nil, http.StatusServiceUnavailable, err
+		}
 		return t, http.StatusOK, nil
 	}
-	if draining {
-		return nil, http.StatusServiceUnavailable, fmt.Errorf("serve: draining")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t, ok := s.tenants[id]; ok {
-		return t, http.StatusOK, nil
-	}
-	if s.draining {
-		return nil, http.StatusServiceUnavailable, fmt.Errorf("serve: draining")
-	}
-	if s.cfg.MaxTenants > 0 && len(s.tenants) >= s.cfg.MaxTenants {
-		return nil, http.StatusServiceUnavailable, fmt.Errorf("serve: tenant limit (%d) reached", s.cfg.MaxTenants)
-	}
-	t, err := s.newTenant(id)
-	if err != nil {
-		// A tenant that cannot open its ledger is a storage refusal, not a
-		// server bug: 503, retry once the disk recovers.
-		return nil, http.StatusServiceUnavailable, err
-	}
-	s.tenants[id] = t
-	return t, http.StatusOK, nil
 }
 
-// lookupTenant returns an existing tenant pipeline or nil.
-func (s *Server) lookupTenant(id string) *tenant {
+// residents returns the tenants that have finished opening. A tenant still
+// recovering holds its own lock and has no writer yet; /healthz, /metrics
+// and Close must neither wait for it nor look inside it.
+func (s *Server) residents() (tenants []*tenant, draining bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.tenants[id]
+	tenants = make([]*tenant, 0, len(s.tenants))
+	for _, t := range s.tenants {
+		if t.ready.Load() {
+			tenants = append(tenants, t)
+		}
+	}
+	return tenants, s.draining
 }
 
 // Close drains and shuts the server down: new work is refused, every
@@ -293,12 +344,11 @@ func (s *Server) Close() error {
 	}
 	s.draining = true
 	s.closed = true
-	tenants := make([]*tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		tenants = append(tenants, t)
-	}
 	s.mu.Unlock()
 
+	// A tenant that becomes ready after this point saw draining under
+	// Server.mu and closed its own ledger (getTenant).
+	tenants, _ := s.residents()
 	var first error
 	for _, t := range tenants {
 		if err := t.drain(); err != nil && first == nil {
@@ -371,12 +421,8 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	t, status, err := s.getTenant(id)
-	if err != nil {
-		if status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", s.degradedRetryAfter())
-		}
-		s.fail(w, status, err)
+	t := s.tenantFor(w, id, true)
+	if t == nil {
 		return
 	}
 	counts, status, err := t.ingest(batch)
@@ -418,11 +464,32 @@ type decisionsReply struct {
 	Truncated bool                  `json:"ledger_truncated_tail"`
 }
 
+// tenantFor resolves a request's tenant, answering the refusal itself
+// (nil return) when there is none to serve it.
+func (s *Server) tenantFor(w http.ResponseWriter, id string, create bool) *tenant {
+	t, status, err := s.getTenant(id, create)
+	if err != nil {
+		if status == http.StatusServiceUnavailable {
+			w.Header().Set("Retry-After", s.degradedRetryAfter())
+		}
+		s.fail(w, status, err)
+	}
+	return t
+}
+
 func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	t := s.lookupTenant(id)
+	since, err := intParam(r, "since")
+	limit, lerr := intParam(r, "limit")
+	if err == nil {
+		err = lerr
+	}
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, err)
+		return
+	}
+	t := s.tenantFor(w, id, false)
 	if t == nil {
-		s.fail(w, http.StatusNotFound, fmt.Errorf("unknown tenant %q", id))
 		return
 	}
 	log, err := t.replay()
@@ -431,11 +498,11 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	decs := log.Decisions()
-	if since, ok := intParam(r, "since"); ok {
+	if since > 0 {
 		i := sort.Search(len(decs), func(i int) bool { return decs[i].Interval >= since })
 		decs = decs[i:]
 	}
-	if limit, ok := intParam(r, "limit"); ok && limit >= 0 && limit < len(decs) {
+	if limit >= 0 && limit < len(decs) {
 		decs = decs[len(decs)-limit:]
 	}
 	writeJSON(w, http.StatusOK, decisionsReply{Tenant: id, Decisions: decs, Truncated: log.Truncated})
@@ -450,9 +517,8 @@ type billReply struct {
 
 func (s *Server) handleBill(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	t := s.lookupTenant(id)
+	t := s.tenantFor(w, id, false)
 	if t == nil {
-		s.fail(w, http.StatusNotFound, fmt.Errorf("unknown tenant %q", id))
 		return
 	}
 	log, err := t.replay()
@@ -464,13 +530,7 @@ func (s *Server) handleBill(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	tenants := make([]*tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		tenants = append(tenants, t)
-	}
-	draining := s.draining
-	s.mu.RUnlock()
+	tenants, draining := s.residents()
 	quarantined := []string{}
 	for _, t := range tenants {
 		t.mu.Lock()
@@ -500,14 +560,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	tenants := make([]*tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		tenants = append(tenants, t)
-	}
-	draining := s.draining
-	s.mu.RUnlock()
-
+	tenants, draining := s.residents()
 	var depth, quarantined int
 	var records, bytes, syncs, seals int64
 	for _, t := range tenants {
@@ -545,7 +598,7 @@ func (t *tenant) replay() (*ledger.Log, error) {
 			t.quarantine(err)
 		}
 	}
-	return ledger.ReplayFS(t.srv.fs, t.led.Path())
+	return t.led.Replay()
 }
 
 func (s *Server) fail(w http.ResponseWriter, status int, err error) {
@@ -561,15 +614,16 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	_ = enc.Encode(v)
 }
 
-// intParam parses an integer query parameter.
-func intParam(r *http.Request, name string) (int, bool) {
+// intParam parses a non-negative integer query parameter; -1 means the
+// parameter is absent.
+func intParam(r *http.Request, name string) (int, error) {
 	v := r.URL.Query().Get(name)
 	if v == "" {
-		return 0, false
+		return -1, nil
 	}
-	var n int
-	if _, err := fmt.Sscanf(v, "%d", &n); err != nil {
-		return 0, false
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("query parameter %s=%q is not a non-negative integer", name, v)
 	}
-	return n, true
+	return n, nil
 }

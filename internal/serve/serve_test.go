@@ -615,8 +615,8 @@ func TestServeRestartAfterTornWrite(t *testing.T) {
 	if log.Truncated {
 		t.Fatalf("torn tail not healed on reopen")
 	}
-	if got := log.LastDecisionInterval(); got != 6 {
-		t.Fatalf("last interval %d, want 6", got)
+	if tail := log.Tail(); tail.Unbilled || tail.Last.Interval != 6 {
+		t.Fatalf("tail %+v, want billed interval 6", tail)
 	}
 }
 

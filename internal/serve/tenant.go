@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"daasscale/internal/ledger"
@@ -42,8 +43,11 @@ type tenant struct {
 	srv *Server
 
 	// mu serializes the pipeline. The ledger writer is not goroutine-safe
-	// and the loop is single-goroutine state; one lock covers both.
-	mu sync.Mutex
+	// and the loop is single-goroutine state; one lock covers both. It is
+	// held from the tenant's insertion into the map until its ledger is
+	// open; ready flips then, and led is non-nil from then on.
+	mu    sync.Mutex
+	ready atomic.Bool
 
 	lp      *loop.TenantLoop[resource.Container]
 	applier *stateApplier
@@ -92,39 +96,55 @@ type ingestCounts struct {
 	RetryAfterSec int `json:"retry_after_sec,omitempty"`
 }
 
-// newTenant assembles the pipeline, resuming the ingest watermark and the
-// running container from the tenant's ledger when one exists — a restart
-// continues the decision sequence instead of re-billing interval 0.
-func (s *Server) newTenant(id string) (*tenant, error) {
-	path := filepath.Join(s.cfg.LedgerDir, id+".ledger")
-	led, err := ledger.OpenWriterFS(s.fs, path, ledger.WithSyncEvery(s.syncEvery))
+// ledgerExt is the suffix of a tenant's active ledger segment in LedgerDir.
+const ledgerExt = ".ledger"
+
+// open assembles the pipeline (t.mu held), resuming the ingest watermark
+// and the running container from the tenant's ledger when one exists — a
+// restart continues the decision sequence instead of re-billing interval
+// 0. The ledger is read once: the scan that validates every frame and
+// finds the torn tail also yields the tail the pipeline resumes from.
+func (t *tenant) open() error {
+	s := t.srv
+	base := t.id + ledgerExt
+	led, tail, err := ledger.Open(s.fs, filepath.Join(s.cfg.LedgerDir, base), s.index[base], ledger.WithSyncEvery(s.syncEvery))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	t := &tenant{id: id, srv: s, led: led, bucket: s.newBucket()}
-	log, err := ledger.ReplayFS(s.fs, path)
-	if err != nil {
+	t.led, t.bucket = led, s.newBucket()
+	if err := t.resume(tail); err != nil {
 		led.Close()
-		return nil, err
+		return err
 	}
-	if err := t.healBill(log); err != nil {
-		led.Close()
-		return nil, err
-	}
-	if err := t.resetFromLog(log); err != nil {
-		led.Close()
-		return nil, err
-	}
-	return t, nil
+	return nil
 }
 
-// resetFromLog (re)builds the tenant's in-memory pipeline — applier,
-// policy, loop, watermark — from a replayed ledger. It is the only way
-// loop state is ever constructed: at first open and again after a
-// quarantine, because once a storage error fires the in-memory loop has
-// run ahead of disk and cannot be trusted; the durable record is the
-// ground truth the pipeline restarts from.
-func (t *tenant) resetFromLog(log *ledger.Log) error {
+// healBill repairs the one lockstep break a torn tail can leave: a
+// trailing decision whose line item never made it to disk. The missing
+// item is derived deterministically from the decision — byte-identical to
+// what the live writer would have appended — and synced, so the interval
+// is billed exactly once and the bill can never disagree with the
+// decision trail.
+func (t *tenant) healBill(tail ledger.Tail) error {
+	if !tail.Unbilled {
+		return nil
+	}
+	if err := t.led.AppendLineItem(ledger.LineItemFor(*tail.Last)); err != nil {
+		return err
+	}
+	return t.led.Sync()
+}
+
+// resume heals the bill and (re)builds the tenant's in-memory pipeline —
+// applier, policy, loop, watermark — from the tail of its ledger. It is
+// the only way loop state is ever constructed: at first open and again
+// after a quarantine, because once a storage error fires the in-memory
+// loop has run ahead of disk and cannot be trusted; the durable record is
+// the ground truth the pipeline restarts from.
+func (t *tenant) resume(tail ledger.Tail) error {
+	if err := t.healBill(tail); err != nil {
+		return err
+	}
 	s := t.srv
 	t.applier = &stateApplier{cur: s.cat.Smallest()}
 	t.buf = make(map[int]telemetry.Snapshot)
@@ -132,19 +152,16 @@ func (t *tenant) resetFromLog(log *ledger.Log) error {
 	t.resumed = false
 	t.prev = telemetry.Snapshot{}
 	t.havePrev = false
-	if last := log.LastDecisionInterval(); last >= 0 {
-		t.nextSeq = last + 1
+	if last := tail.Last; last != nil {
+		t.nextSeq = last.Interval + 1
 		t.resumed = true
-	}
-	// Resume the substrate from the last decided target, so billing and
-	// hold decisions continue from the container the tenant was actually
-	// left in.
-	decs := log.Decisions()
-	if n := len(decs); n > 0 {
-		if c, ok := s.cat.ByName(decs[n-1].Target); ok {
+		// Resume the substrate from the last decided target, so billing and
+		// hold decisions continue from the container the tenant was
+		// actually left in.
+		if c, ok := s.cat.ByName(last.Target); ok {
 			t.applier.cur = c
 		}
-		t.applier.memMB = decs[n-1].BalloonTargetMB
+		t.applier.memMB = last.BalloonTargetMB
 	}
 	pol, err := s.newPolicy(t.id, t.applier.cur)
 	if err != nil {
@@ -168,29 +185,6 @@ func (t *tenant) resetFromLog(log *ledger.Log) error {
 		Recorder: rec,
 		Describe: loop.DescribeContainer,
 	})
-	return nil
-}
-
-// healBill repairs the one lockstep break a torn tail can leave: a
-// trailing decision whose line item never made it to disk. The missing
-// item is derived deterministically from the decision — byte-identical to
-// what the live writer would have appended — and synced, so the interval
-// is billed exactly once and the bill can never disagree with the
-// decision trail. The healed entry is appended to log too, keeping the
-// caller's view consistent with disk.
-func (t *tenant) healBill(log *ledger.Log) error {
-	n := len(log.Entries)
-	if n == 0 || log.Entries[n-1].Decision == nil {
-		return nil
-	}
-	it := ledger.LineItemFor(*log.Entries[n-1].Decision)
-	if err := t.led.AppendLineItem(it); err != nil {
-		return err
-	}
-	if err := t.led.Sync(); err != nil {
-		return err
-	}
-	log.Entries = append(log.Entries, ledger.Entry{Kind: ledger.KindLineItem, Item: &it})
 	return nil
 }
 
@@ -237,14 +231,11 @@ func (t *tenant) rebuild() error {
 	if err := t.led.Rotate(); err != nil {
 		return err
 	}
-	log, err := ledger.ReplayFS(t.srv.fs, t.led.Path())
+	log, err := t.led.Replay()
 	if err != nil {
 		return err
 	}
-	if err := t.healBill(log); err != nil {
-		return err
-	}
-	return t.resetFromLog(log)
+	return t.resume(log.Tail())
 }
 
 // step runs one interval through the control loop and the ledger.
