@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race alloc-gate chaos crash explain verify bench bench-all bench-fleet bench-cluster bench-fabric bench-serve profile deprecation-gate
+.PHONY: all build test vet race alloc-gate chaos crash explain verify bench bench-all bench-fleet bench-fabric bench-serve profile deprecation-gate
 
 all: verify
 
@@ -25,10 +25,11 @@ race:
 	$(GO) test -race -short ./...
 
 # The allocation gate: testing.AllocsPerRun must report zero heap
-# allocations for a warm Manager.Signals decision point and for the warm
-# stats kernels. Run without -race (its instrumentation allocates).
+# allocations for a warm Manager.Signals decision point, for the warm
+# stats kernels and for the engine's per-call Tick. Run without -race (its
+# instrumentation allocates).
 alloc-gate:
-	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/telemetry ./internal/stats
+	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/telemetry ./internal/stats ./internal/engine
 
 # The chaos gate: deterministic fault injection end to end — the
 # sim-level chaos and actuation suites (parallel/serial bit identity,
@@ -82,15 +83,6 @@ bench-fleet:
 	BENCH_JSON=BENCH_fleet.json $(GO) test -run '^$$' \
 		-bench 'BenchmarkFleetStream|BenchmarkFleetCalibrationStream' \
 		-benchtime 1x -benchmem .
-
-# The cluster hot-path gate: the optimized schedule (parallel ticks+decide
-# over engine.TickBatch, serial apply) vs the retained PR-6 reference
-# schedule on a 1000-tenant cluster, bit-identity asserted, speedup gated
-# (1.5x with >= 4 CPUs, the core-independent 1.2x floor below that).
-# Numbers land in BENCH_cluster.json.
-bench-cluster:
-	BENCH_JSON=BENCH_cluster.json $(GO) test -run '^$$' \
-		-bench 'BenchmarkCluster1kTenants' -benchtime 1x -benchmem .
 
 # The packing-quality gate: on a 1000-tenant contended cluster the
 # placement optimizer must restore every predicted p95 to goal

@@ -92,7 +92,7 @@ func writeBenchJSON(path string) error {
 		Note       string                        `json:"note"`
 		Benchmarks map[string]map[string]float64 `json:"benchmarks"`
 	}{
-		Note:       "headline benchmark numbers; regenerate with `make bench` (telemetry), `make bench-fleet` (fleet scale-out), `make bench-cluster` (cluster hot path) or `make bench-fabric` (packing quality)",
+		Note:       "headline benchmark numbers; regenerate with `make bench` (telemetry), `make bench-fleet` (fleet scale-out) or `make bench-fabric` (packing quality)",
 		Benchmarks: benchRecords,
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
@@ -116,7 +116,7 @@ func cachedComparison(b *testing.B, key string, cs sim.ComparisonSpec) sim.Compa
 	if c, ok := compCache[key]; ok {
 		return c
 	}
-	c, err := sim.RunComparison(cs)
+	c, err := sim.NewRunner().RunComparison(context.Background(), cs)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func BenchmarkFigure13_Drilldown(b *testing.B) {
 
 func BenchmarkFigure14_Ballooning(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := sim.RunBallooningExperiment(sim.BallooningSpec{Seed: benchSeed})
+		res, err := sim.NewRunner().RunBallooning(context.Background(), sim.BallooningSpec{Seed: benchSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -616,7 +616,7 @@ func BenchmarkAblationBudgetStrategy(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			r, err := sim.Run(sim.Spec{
+			r, err := sim.NewRunner().Run(context.Background(), sim.Spec{
 				Workload:   workload.TPCC(),
 				Trace:      tr,
 				Policy:     policy.NewAuto(scaler),
@@ -698,7 +698,7 @@ func BenchmarkAblationDimensionalScaling(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			r, err := sim.Run(sim.Spec{
+			r, err := sim.NewRunner().Run(context.Background(), sim.Spec{
 				Workload:   ioBound,
 				Trace:      tr,
 				Policy:     policy.NewAuto(scaler),
@@ -813,7 +813,7 @@ func BenchmarkExtensionBudgetSweep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			r, err := sim.Run(sim.Spec{
+			r, err := sim.NewRunner().Run(context.Background(), sim.Spec{
 				Workload:   workload.CPUIO(workload.DefaultCPUIOConfig()),
 				Trace:      tr,
 				Policy:     policy.NewAuto(scaler),
@@ -858,7 +858,7 @@ func BenchmarkExtensionScheduledVsAuto(b *testing.B) {
 		cat := resource.LockStepCatalog()
 		w := workload.DS2()
 		runOne := func(tr *trace.Trace, p policy.Policy, goal float64) sim.Result {
-			r, err := sim.Run(sim.Spec{
+			r, err := sim.NewRunner().Run(context.Background(), sim.Spec{
 				Workload:   w,
 				Trace:      tr,
 				Policy:     p,

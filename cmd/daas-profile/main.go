@@ -1,9 +1,8 @@
 // Command daas-profile is the cluster hot-path profiling harness: it runs
-// a synthetic multi-tenant cluster (1000 tenants by default — the scale the
-// BENCH_cluster gate measures) and writes CPU and heap pprof profiles for
-// it. The cluster runner labels its phases (`phase=ticks+decide`,
-// `phase=apply`) via runtime/pprof when -labels is on, so
-// `go tool pprof -tagfocus` can attribute samples to the parallel
+// a synthetic multi-tenant cluster (1000 tenants by default) and writes CPU
+// and heap pprof profiles for it. The cluster runner labels its phases
+// (`phase=ticks+decide`, `phase=apply`) via runtime/pprof when -labels is
+// on, so `go tool pprof -tagfocus` can attribute samples to the parallel
 // tick/decide fan-out versus the serial fabric-apply section.
 //
 // Typical use (the `make profile` target):
@@ -34,7 +33,6 @@ func main() {
 		intervals  = flag.Int("intervals", 12, "billing intervals per tenant trace")
 		workers    = flag.Int("workers", 8, "worker-pool width (results are identical at any value)")
 		seed       = flag.Int64("seed", 42, "cluster base seed")
-		reference  = flag.Bool("reference", false, "run the retained pre-optimization schedule (serial decide, per-call ticks)")
 		labels     = flag.Bool("labels", true, "label cluster phases with runtime/pprof labels")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file")
@@ -52,9 +50,6 @@ func main() {
 	}
 
 	opts := []sim.Option{sim.WithParallelism(*workers)}
-	if *reference {
-		opts = append(opts, sim.WithClusterReference())
-	}
 	if *labels {
 		opts = append(opts, sim.WithPhaseLabels())
 	}
@@ -91,18 +86,14 @@ func main() {
 		f.Close()
 	}
 
-	mode := "optimized"
-	if *reference {
-		mode = "reference"
-	}
 	// Guard the rate against a sub-resolution elapsed (tiny runs on a
 	// coarse clock): report 0 rather than +Inf/NaN.
 	rate := 0.0
 	if s := elapsed.Seconds(); s > 0 {
 		rate = float64(*tenants**intervals) / s
 	}
-	fmt.Printf("cluster %s: %d tenants x %d intervals, %d workers: %s (%.0f tenant-intervals/s)\n",
-		mode, *tenants, *intervals, *workers, elapsed.Round(time.Millisecond), rate)
+	fmt.Printf("cluster: %d tenants x %d intervals, %d workers: %s (%.0f tenant-intervals/s)\n",
+		*tenants, *intervals, *workers, elapsed.Round(time.Millisecond), rate)
 	fmt.Printf("  migrations %d, refusals %d, peak cluster CPU %.2f\n",
 		res.Migrations, res.Refusals, res.PeakClusterCPUFrac)
 }

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -23,7 +24,7 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	res, err := sim.RunBallooningExperiment(sim.BallooningSpec{Seed: 42})
+	res, err := sim.NewRunner().RunBallooning(context.Background(), sim.BallooningSpec{Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}

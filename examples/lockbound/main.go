@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -27,7 +28,7 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	comp, err := sim.RunComparison(sim.ComparisonSpec{
+	comp, err := sim.NewRunner().RunComparison(context.Background(), sim.ComparisonSpec{
 		Workload:   workload.TPCC(),
 		Trace:      trace.Trace4(720, 4),
 		GoalFactor: 1.25,

@@ -7,25 +7,26 @@ import (
 	"daasscale/internal/telemetry"
 )
 
-// TickBatch advances the simulation by len(offered) one-second ticks — a
-// whole billing interval in one call. It is bit-identical to calling Tick
-// once per element, in order: the same RNG draws in the same sequence, the
-// same floating-point operations in the same association. Tick stays in
-// the tree as the reference kernel; the TickBatch equivalence property
-// test and the cross-runner golden suite pin the two together.
+// TickBatch advances the simulation by len(offered) one-second ticks —
+// typically a whole billing interval in one call. This loop is the only
+// place the engine's physics is written; Tick is a one-element batch.
+// However a run of ticks is split into batches, the output is the same bit
+// for bit: the same RNG draws in the same sequence, the same
+// floating-point operations in the same association (TestKernelGolden and
+// the split-invariance property tests pin it).
 //
-// The speedup comes from hoisting everything a single Tick recomputes per
-// call even though it cannot change within an interval — container
-// capacities and their queue caps, the profile's per-transaction
-// constants, the memory ceiling and warm cap, option-derived latency
-// terms — and from keeping all mutable engine state (buffer pool,
-// backlogs, shed counters, the accumulator's sums) in locals across the
-// whole interval instead of bouncing through the Engine struct on every
-// tick. Hoists deliberately never re-associate float expressions: an
-// expression is hoisted only when Tick computes exactly that expression,
-// with that operand order, every tick (e.g. `p.LatchProb * 1.5` may move
-// out of the loop; `offered * lcp * lhm / 1000` may not, because its value
-// depends on the tick). See DESIGN.md §13 for the hoisting rules.
+// Everything that cannot change within a batch is computed once above the
+// loop — container capacities and their queue caps, the profile's
+// per-transaction constants, the memory ceiling and warm cap,
+// option-derived latency terms — and all mutable engine state (buffer
+// pool, backlogs, shed counters, the accumulator's sums) lives in locals
+// for the whole batch instead of bouncing through the Engine struct on
+// every tick. The rule for editing it: a hoist never re-associates a float
+// expression. A sub-expression may move above the loop only if every one
+// of its operands is batch-invariant and it keeps its operand order (e.g.
+// `p.LatchProb * 1.5` may; `off * lcp * lhm / 1000` may not, because it
+// depends on the tick, and neither may `lcp * lhm / 1000` on its own,
+// because that changes the association). See DESIGN.md §13.
 func (e *Engine) TickBatch(offered []float64) {
 	if len(offered) == 0 {
 		return
@@ -39,7 +40,7 @@ func (e *Engine) TickBatch(offered []float64) {
 	ws := e.w.WorkingSetMB
 	coldData := e.w.DataSizeMB - ws
 	hs := e.w.HotspotFraction
-	coldShare := 1 - hs // Tick's `(1-e.w.HotspotFraction)`, identical every tick
+	coldShare := 1 - hs
 	warmCap := math.Min(memCap, e.w.DataSizeMB)
 	warmPerRead := o.WarmMBPerPhysRead
 
@@ -61,25 +62,25 @@ func (e *Engine) TickBatch(offered []float64) {
 
 	ck := o.CheckpointEverySec
 	ioServiceMs := o.IOServiceMs
-	logSvcPerTxn := logPerTxn * o.LogServiceMsPerKB // Tick's `p.LogKB*o.LogServiceMsPerKB`
+	logSvcPerTxn := logPerTxn * o.LogServiceMsPerKB
 	memStallMs := o.MemStallMs
-	// The contention multipliers are constant for the whole batch (a
-	// hosting runner installs them only between intervals), so every
-	// multiplied term below hoists or folds exactly as Tick associates it.
+	// Shared-channel contention (noisy neighbors on the hosting node)
+	// multiplies the affected service and wait terms. The multipliers are
+	// constant for the whole batch (a hosting runner installs them only
+	// between intervals) and exactly 1 outside cluster runs; x*1.0 is an
+	// IEEE-754 identity, so the uncontended arithmetic is bit-for-bit the
+	// pre-contention one.
 	contCPU := e.contention.CPU
 	contMem := e.contention.Memory
 	contLog := e.contention.LogIO
-	// Tick's `o.BaseLatencyMs + p.CPUms*e.contention.CPU`, the first two
-	// terms of perTxnLatency.
+	// The first two terms of perTxnLatency, in its left-to-right order.
 	basePlusCPU := o.BaseLatencyMs + cpuPerTxn*contCPU
-	// Tick's `p.LogKB*o.LogServiceMsPerKB*e.contention.LogIO` latency term.
-	logSvcLat := logSvcPerTxn * contLog
+	logSvcLat := logSvcPerTxn * contLog // perTxnLatency's log-service term
 	sigma := o.LatencySigma
 	noiseOn := o.NoiseProb > 0
 	noiseProb := o.NoiseProb
 	noiseScale := o.NoiseScale
 	rng := e.rng
-	sink := e.latencySink
 
 	// --- Mutable engine state, held in locals for the whole batch -------
 	usedMB := e.usedMB
@@ -101,8 +102,10 @@ func (e *Engine) TickBatch(offered []float64) {
 	pWritesSum := a.physWrites
 	ticksN := a.ticks
 
-	// drain advances one fluid queue by a tick — Tick's drain with the
-	// per-resource maxQ precomputed (same product, same value).
+	// drain advances one fluid queue by a tick: demand joins the backlog,
+	// up to capacity units are served, the backlog is capped at maxQ
+	// (MaxQueueSeconds of capacity; excess is shed), and the queueing delay
+	// (ms) a new arrival would experience is returned.
 	drain := func(backlog *float64, demand, capacity, maxQ float64, shed *float64) (served, delayMs float64) {
 		total := *backlog + demand
 		served = math.Min(total, capacity)
@@ -119,6 +122,11 @@ func (e *Engine) TickBatch(offered []float64) {
 		}
 		return served, delayMs
 	}
+	// congest is the graded queueing penalty below saturation: even when
+	// the queue drains every tick, service-time variance makes latency climb
+	// steeply as utilization approaches the allocation (an M/M/1-style
+	// ρ/(1−ρ) term). This is what lets a loose latency goal ride a
+	// container near saturation while a tight goal needs headroom.
 	congest := func(demand, capacity float64) float64 {
 		if capacity <= 0 {
 			return 0
@@ -133,6 +141,8 @@ func (e *Engine) TickBatch(offered []float64) {
 		}
 		return f
 	}
+	// waitMs: requests whose work is still queued wait the whole tick; the
+	// number of waiting requests is backlog divided by per-request demand.
 	waitMs := func(backlog, perTxn float64) float64 {
 		if backlog <= 0 {
 			return 0
@@ -165,6 +175,9 @@ func (e *Engine) TickBatch(offered []float64) {
 		logicalReads := off * logicalPerTxn
 		physReads := logicalReads * missFrac
 		physWrites := off * writePerTxn
+		// Checkpoints defer a share of the page flushes, then burst them.
+		// The long-run write volume is identical; the telemetry gets
+		// spikier.
 		if ck > 0 {
 			deferred := physWrites * 0.5
 			physWrites -= deferred
@@ -180,12 +193,15 @@ func (e *Engine) TickBatch(offered []float64) {
 		if off > 0 {
 			perTxnPhysIO = (physReads + physWrites) / off
 		}
-		cpuDemand := off*cpuPerTxn + (physReads+physWrites)*0.03
+		cpuDemand := off*cpuPerTxn + (physReads+physWrites)*0.03 // I/O handling CPU
 		servedCPU, dCPU := drain(&bCPU, cpuDemand, cpuCap, maxQCPU, &shCPU)
 
 		ioDemand := physReads + physWrites
 		servedIO, dIO := drain(&bIO, ioDemand, ioCap, maxQIO, &shIO)
 
+		// Only *served* reads bring pages into the cache: warming is bounded
+		// by the container's I/O capacity, which is why recovering an
+		// evicted working set takes so long (Figure 14's slow tail).
 		if ioDemand > 0 {
 			servedReads := servedIO * physReads / ioDemand
 			usedMB = math.Min(warmCap, usedMB+servedReads*warmPerRead)
@@ -203,10 +219,16 @@ func (e *Engine) TickBatch(offered []float64) {
 		wl[telemetry.WaitDiskIO] += waitMs(bIO, perTxnPhysIO)
 		wl[telemetry.WaitLogIO] += waitMs(bLog, logPerTxn) * contLog
 
+		// Hot-set buffer misses stall requests on page-ins; buffer-pool
+		// contention inflates each stall.
 		hotMissPerTxn := hs * (1 - hHot)
 		memStall := hotMissPerTxn * memStallMs * contMem
 		wl[telemetry.WaitMemory] += off * memStall
 
+		// Application locks: waiters queue behind concurrent holders. Queue
+		// length follows Little's law on conflicting transactions; waits are
+		// therefore superlinear in offered load and independent of container
+		// size.
 		holders := off * lcp * lhm / 1000
 		perTxnLockWait := lcp * holders * lhm
 		wl[telemetry.WaitLock] += off * perTxnLockWait
@@ -215,6 +237,8 @@ func (e *Engine) TickBatch(offered []float64) {
 
 		sys := 30.0
 		if noiseOn && rng.Float64() < noiseProb {
+			// Transient system activity (checkpoint, backup) — an outlier
+			// spike.
 			sys *= noiseScale
 			cls := telemetry.WaitClasses[rng.Intn(telemetry.NumWaitClasses)]
 			wl[cls] += sys * 10
@@ -236,12 +260,7 @@ func (e *Engine) TickBatch(offered []float64) {
 				n = 1
 			}
 			for i := 0; i < n; i++ {
-				f := math.Exp(sigma * rng.NormFloat64())
-				sample := perTxnLatency * f
-				lat = append(lat, sample)
-				if sink != nil {
-					sink(sample)
-				}
+				lat = append(lat, perTxnLatency*math.Exp(sigma*rng.NormFloat64()))
 			}
 			txns += off
 		}

@@ -1,140 +1,12 @@
 package engine
 
 import (
-	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 
 	"daasscale/internal/telemetry"
 	"daasscale/internal/workload"
 )
-
-// randBatchWorkload draws a randomized workload for the equivalence
-// property: the three standard families plus fully randomized CPU/IO
-// mixes, working sets and hotspot fractions.
-func randBatchWorkload(rng *rand.Rand) *workload.Workload {
-	switch rng.Intn(4) {
-	case 0:
-		return workload.TPCC()
-	case 1:
-		return workload.DS2()
-	default:
-		return workload.CPUIO(workload.CPUIOConfig{
-			CPUWeight:       0.2 + rng.Float64()*2,
-			IOWeight:        0.2 + rng.Float64()*2,
-			LogWeight:       rng.Float64(),
-			WorkingSetMB:    256 + rng.Float64()*4000,
-			HotspotFraction: 0.5 + rng.Float64()*0.5,
-		})
-	}
-}
-
-// TestTickBatchMatchesTick is the batching property test: across
-// randomized workloads, containers, checkpoint settings, noise seeds,
-// ballooning targets and batch chunk sizes, TickBatch must be
-// byte-identical to calling Tick per element — same snapshots, same
-// internal state, same RNG positions, same raw wait-type breakdown.
-func TestTickBatchMatchesTick(t *testing.T) {
-	metaRng := rand.New(rand.NewSource(20260808))
-	for trial := 0; trial < 40; trial++ {
-		trial := trial
-		seed := metaRng.Int63()
-		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			w := randBatchWorkload(rng)
-			cont := cat.AtStep(rng.Intn(cat.LadderLen()))
-			opts := Options{
-				WarmStart:          rng.Float64() < 0.5,
-				CheckpointEverySec: []int{0, 3, 7, 30}[rng.Intn(4)],
-				TicksPerInterval:   10 + rng.Intn(80),
-			}
-			if rng.Float64() < 0.3 {
-				opts.NoiseProb = -1 // noise disabled
-			} else if rng.Float64() < 0.5 {
-				opts.NoiseProb = 0.2 // noisy: exercises the RNG draw order
-			}
-			engSeed := rng.Int63()
-			ref, err := New(w, cont, engSeed, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bat, err := New(w, cont, engSeed, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var refSink, batSink []float64
-			ref.SetLatencySink(func(ms float64) { refSink = append(refSink, ms) })
-			bat.SetLatencySink(func(ms float64) { batSink = append(batSink, ms) })
-			if rng.Float64() < 0.3 {
-				target := 64 + rng.Float64()*1024
-				ref.SetMemoryTargetMB(target)
-				bat.SetMemoryTargetMB(target)
-			}
-
-			loadRng := rand.New(rand.NewSource(seed + 1))
-			for interval := 0; interval < 4; interval++ {
-				n := ref.TicksPerInterval()
-				offered := make([]float64, n)
-				base := loadRng.Float64() * 600
-				for i := range offered {
-					offered[i] = base * (0.5 + loadRng.Float64())
-					if loadRng.Float64() < 0.05 {
-						offered[i] = -offered[i] // negative loads clamp to zero
-					}
-				}
-				for _, off := range offered {
-					ref.Tick(off)
-				}
-				// Feed the batch engine the same loads in random chunks:
-				// partial batches must compose exactly like one big one.
-				for lo := 0; lo < n; {
-					hi := lo + 1 + loadRng.Intn(n-lo)
-					bat.TickBatch(offered[lo:hi])
-					lo = hi
-				}
-
-				rs, bs := ref.EndInterval(), bat.EndInterval()
-				if rs != bs {
-					t.Fatalf("interval %d: snapshots differ:\nref %+v\nbat %+v", interval, rs, bs)
-				}
-				rc, ri, rl := ref.SheddedWork()
-				bc, bi, bl := bat.SheddedWork()
-				if rc != bc || ri != bi || rl != bl {
-					t.Fatalf("interval %d: shedded work differs", interval)
-				}
-				if ref.MemoryUsedMB() != bat.MemoryUsedMB() {
-					t.Fatalf("interval %d: buffer pool differs: %v vs %v",
-						interval, ref.MemoryUsedMB(), bat.MemoryUsedMB())
-				}
-				rwt, bwt := ref.LastIntervalWaitTypes(), bat.LastIntervalWaitTypes()
-				if len(rwt) != len(bwt) {
-					t.Fatalf("interval %d: wait-type maps differ in size", interval)
-				}
-				for k, v := range rwt {
-					if bwt[k] != v {
-						t.Fatalf("interval %d: wait type %s: %v vs %v", interval, k, v, bwt[k])
-					}
-				}
-			}
-			if len(refSink) != len(batSink) {
-				t.Fatalf("sink lengths differ: %d vs %d", len(refSink), len(batSink))
-			}
-			for i := range refSink {
-				if refSink[i] != batSink[i] {
-					t.Fatalf("sink sample %d differs: %v vs %v", i, refSink[i], batSink[i])
-				}
-			}
-			// The engines' RNGs must be at the same position: a further
-			// identical interval stays identical.
-			ref.Tick(100)
-			bat.TickBatch([]float64{100})
-			if rs, bs := ref.EndInterval(), bat.EndInterval(); rs != bs {
-				t.Fatalf("post-run RNG positions diverged:\nref %+v\nbat %+v", rs, bs)
-			}
-		})
-	}
-}
 
 // TestTickBatchEmpty: a zero-length batch is a no-op.
 func TestTickBatchEmpty(t *testing.T) {

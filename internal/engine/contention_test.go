@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -89,81 +88,6 @@ func TestContentionInflatesTargetedWaits(t *testing.T) {
 			}
 			if !(hs.P95LatencyMs > bs.P95LatencyMs) {
 				t.Fatalf("p95 not inflated: base %v, contended %v", bs.P95LatencyMs, hs.P95LatencyMs)
-			}
-		})
-	}
-}
-
-// TestTickBatchMatchesTickUnderContention extends the batching property
-// to non-identity multipliers: with randomized contention vectors
-// (re-installed between intervals, as the cluster runner does), TickBatch
-// stays byte-identical to per-element Tick.
-func TestTickBatchMatchesTickUnderContention(t *testing.T) {
-	metaRng := rand.New(rand.NewSource(20260809))
-	for trial := 0; trial < 25; trial++ {
-		trial := trial
-		seed := metaRng.Int63()
-		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			w := randBatchWorkload(rng)
-			cont := cat.AtStep(rng.Intn(cat.LadderLen()))
-			opts := Options{
-				CheckpointEverySec: []int{0, 7}[rng.Intn(2)],
-				TicksPerInterval:   10 + rng.Intn(40),
-			}
-			if rng.Float64() < 0.5 {
-				opts.NoiseProb = 0.2
-			}
-			engSeed := rng.Int63()
-			ref, err := New(w, cont, engSeed, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bat, err := New(w, cont, engSeed, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			loadRng := rand.New(rand.NewSource(seed + 1))
-			for interval := 0; interval < 4; interval++ {
-				// Fresh multipliers each interval, as the serial apply phase
-				// installs them; sometimes degenerate (≤ 1, NaN-free lift).
-				mult := Contention{
-					CPU:    0.5 + loadRng.Float64()*3,
-					Memory: 0.5 + loadRng.Float64()*3,
-					LogIO:  0.5 + loadRng.Float64()*3,
-				}
-				ref.SetContention(mult)
-				bat.SetContention(mult)
-				if ref.ContentionMultipliers() != bat.ContentionMultipliers() {
-					t.Fatal("normalized multipliers diverged")
-				}
-
-				n := ref.TicksPerInterval()
-				offered := make([]float64, n)
-				base := loadRng.Float64() * 500
-				for i := range offered {
-					offered[i] = base * (0.5 + loadRng.Float64())
-				}
-				for _, off := range offered {
-					ref.Tick(off)
-				}
-				for lo := 0; lo < n; {
-					hi := lo + 1 + loadRng.Intn(n-lo)
-					bat.TickBatch(offered[lo:hi])
-					lo = hi
-				}
-
-				rs, bs := ref.EndInterval(), bat.EndInterval()
-				if rs != bs {
-					t.Fatalf("interval %d: snapshots differ under contention:\nref %+v\nbat %+v", interval, rs, bs)
-				}
-				rwt, bwt := ref.LastIntervalWaitTypes(), bat.LastIntervalWaitTypes()
-				for k, v := range rwt {
-					if bwt[k] != v {
-						t.Fatalf("interval %d: wait type %s: %v vs %v", interval, k, v, bwt[k])
-					}
-				}
 			}
 		})
 	}

@@ -187,23 +187,28 @@ func TestConservationProperty(t *testing.T) {
 	}
 }
 
-func TestLatencySinkReceivesEverySample(t *testing.T) {
+func TestIntervalLatenciesHoldEverySample(t *testing.T) {
 	e, err := New(workload.DS2(), cat.AtStep(4), 10, Options{NoiseProb: -1, WarmStart: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var n int
-	var sum float64
-	e.SetLatencySink(func(ms float64) { n++; sum += ms })
 	for k := 0; k < e.TicksPerInterval(); k++ {
 		e.Tick(10)
 	}
+	var sum float64
+	for _, ms := range e.IntervalLatencies() {
+		sum += ms
+	}
+	n := len(e.IntervalLatencies())
 	s := e.EndInterval()
 	if n != e.TicksPerInterval()*10 {
-		t.Errorf("sink received %d samples, want %d", n, e.TicksPerInterval()*10)
+		t.Errorf("interval holds %d samples, want %d", n, e.TicksPerInterval()*10)
 	}
 	if math.Abs(sum/float64(n)-s.AvgLatencyMs) > 1e-9 {
-		t.Errorf("sink mean %v != snapshot mean %v", sum/float64(n), s.AvgLatencyMs)
+		t.Errorf("sample mean %v != snapshot mean %v", sum/float64(n), s.AvgLatencyMs)
+	}
+	if len(e.IntervalLatencies()) != 0 {
+		t.Errorf("EndInterval left %d samples behind", len(e.IntervalLatencies()))
 	}
 }
 

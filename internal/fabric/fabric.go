@@ -45,13 +45,6 @@ const (
 	// headroom after placement is largest (load balancing, most room for
 	// future growth in place).
 	WorstFit
-	// BestFitCPU and WorstFitCPU are the historical scorers: they rank by
-	// raw CPU headroom only, ignoring the other dimensions, so memory- or
-	// IO-heavy containers pack badly. Retained so the golden and
-	// zero-contention equivalence runs can reproduce the old packing
-	// decisions exactly.
-	BestFitCPU
-	WorstFitCPU
 )
 
 // String names the policy.
@@ -63,10 +56,6 @@ func (p PlacementPolicy) String() string {
 		return "best-fit"
 	case WorstFit:
 		return "worst-fit"
-	case BestFitCPU:
-		return "best-fit-cpu"
-	case WorstFitCPU:
-		return "worst-fit-cpu"
 	default:
 		return fmt.Sprintf("placementpolicy(%d)", int(p))
 	}
@@ -210,9 +199,8 @@ func dominantHeadroomAfter(s *Server, alloc resource.Vector) float64 {
 //
 // BestFit/WorstFit rank by normalized dominant-resource headroom after
 // placement, so a memory- or log-heavy container packs against the
-// dimension it actually exhausts; BestFitCPU/WorstFitCPU retain the
-// historical raw-CPU-headroom scorer. All ties break to the lower server
-// ID through strict inequality on an in-order scan.
+// dimension it actually exhausts. All ties break to the lower server ID
+// through strict inequality on an in-order scan.
 func (f *Fabric) pick(alloc resource.Vector, exclude int) int {
 	best := -1
 	var bestScore float64
@@ -220,18 +208,11 @@ func (f *Fabric) pick(alloc resource.Vector, exclude int) int {
 		if i == exclude || !s.Fits(alloc) {
 			continue
 		}
-		var score float64
-		switch f.policy {
-		case FirstFit:
-			return i
-		case BestFit, WorstFit:
-			score = dominantHeadroomAfter(s, alloc)
-		case BestFitCPU, WorstFitCPU:
-			score = s.Headroom()[resource.CPU] - alloc[resource.CPU]
-		default:
-			return i
+		if f.policy != BestFit && f.policy != WorstFit {
+			return i // FirstFit: the lowest-numbered server with room
 		}
-		lower := f.policy == BestFit || f.policy == BestFitCPU
+		score := dominantHeadroomAfter(s, alloc)
+		lower := f.policy == BestFit
 		if best < 0 || (lower && score < bestScore) || (!lower && score > bestScore) {
 			best, bestScore = i, score
 		}

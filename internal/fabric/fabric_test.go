@@ -308,9 +308,9 @@ func TestResizeMixedDeltaInPlace(t *testing.T) {
 	}
 }
 
-// TestBestFitRanksByDominantDimension: the rewritten scorer packs against
-// the dimension a container actually exhausts, where the legacy CPU-only
-// scorer picks the wrong server for a memory-heavy container.
+// TestBestFitRanksByDominantDimension: the scorer packs against the
+// dimension a container actually exhausts, where a CPU-only ranking would
+// pick the wrong server for a memory-heavy container.
 func TestBestFitRanksByDominantDimension(t *testing.T) {
 	seed := func(policy PlacementPolicy) *Fabric {
 		f, err := New(2, flatCap, policy)
@@ -339,35 +339,19 @@ func TestBestFitRanksByDominantDimension(t *testing.T) {
 	if s, _ := f.ServerOf("p"); s.ID != 0 {
 		t.Errorf("BestFit placed on server %d, want the memory-tight 0", s.ID)
 	}
-	// Legacy CPU-only best fit ignores memory and packs onto the
-	// CPU-loaded server 1 (50 CPU headroom beats 80).
-	f = seed(BestFitCPU)
-	f.Place("p", probe)
-	if s, _ := f.ServerOf("p"); s.ID != 1 {
-		t.Errorf("BestFitCPU placed on server %d, want the CPU-loaded 1", s.ID)
-	}
-	// The worst-fit duals spread instead: dominant-dimension worst fit
-	// avoids the memory-tight server...
+	// The worst-fit dual spreads instead: it avoids the memory-tight
+	// server.
 	f = seed(WorstFit)
 	f.Place("p", probe)
 	if s, _ := f.ServerOf("p"); s.ID != 1 {
 		t.Errorf("WorstFit placed on server %d, want 1", s.ID)
-	}
-	// ...while the legacy CPU scorer calls server 0 the roomiest.
-	f = seed(WorstFitCPU)
-	f.Place("p", probe)
-	if s, _ := f.ServerOf("p"); s.ID != 0 {
-		t.Errorf("WorstFitCPU placed on server %d, want 0", s.ID)
-	}
-	if BestFitCPU.String() != "best-fit-cpu" || WorstFitCPU.String() != "worst-fit-cpu" {
-		t.Error("legacy policy names wrong")
 	}
 }
 
 // TestPickTieBreaksLowerID: equal scores resolve to the lower server index
 // under every ranking policy.
 func TestPickTieBreaksLowerID(t *testing.T) {
-	for _, policy := range []PlacementPolicy{FirstFit, BestFit, WorstFit, BestFitCPU, WorstFitCPU} {
+	for _, policy := range []PlacementPolicy{FirstFit, BestFit, WorstFit} {
 		f := mustFabric(t, 3, policy)
 		f.Place("t", cat.AtStep(3))
 		if s, _ := f.ServerOf("t"); s.ID != 0 {

@@ -123,8 +123,9 @@ type Config[T comparable] struct {
 	// every apply — the container loops' contract. The ballooning loop
 	// leaves it off: its applier already owns the memory target.
 	SetMemoryTarget bool
-	// CollectLatencies installs a latency sink on the engine so Finalize
-	// can compute run-level P95/Avg over every request.
+	// CollectLatencies makes RunTicks copy every interval's latency samples
+	// (engine.IntervalLatencies) into a run-level buffer, so Finalize can
+	// compute run-level P95/Avg over every request.
 	CollectLatencies bool
 	// SampleCapacityHint pre-sizes the run-level latency buffer (used with
 	// CollectLatencies) so collection never reallocates mid-run. Runners
@@ -151,11 +152,6 @@ type TenantLoop[T comparable] struct {
 	totalCost float64
 	changes   int
 	samples   []float64
-	// collect mirrors Config.CollectLatencies; sinkOn is set once
-	// RunTicksReference has installed the per-sample engine sink, after
-	// which RunTicks must not also bulk-copy the interval's samples.
-	collect bool
-	sinkOn  bool
 
 	// offered is the per-interval offered-load buffer RunTicks hands to
 	// engine.TickBatch, reused across intervals.
@@ -214,8 +210,7 @@ func New[T comparable](cfg Config[T]) *TenantLoop[T] {
 		// run seed alone, never from scheduling.
 		lp.act = actuate.New(cfg.Actuation, exec.SplitSeed(cfg.Seed, ActuationStreamSalt), cfg.Applier.Actual())
 	}
-	lp.collect = cfg.CollectLatencies
-	if lp.collect && cfg.SampleCapacityHint > 0 {
+	if cfg.CollectLatencies && cfg.SampleCapacityHint > 0 {
 		lp.samples = make([]float64, 0, cfg.SampleCapacityHint)
 	}
 	return lp
@@ -225,8 +220,8 @@ func New[T comparable](cfg Config[T]) *TenantLoop[T] {
 // run-level buffer. Growth doubles the backing array instead of relying on
 // append's growth factor: the buffer holds every request of the run
 // (hundreds of intervals), and doubling keeps the total bytes moved across
-// a run linear in the final size. Sample order — and therefore Finalize's
-// percentile/mean bit pattern — is exactly the per-sample sink's.
+// a run linear in the final size. Samples stay in generation order, which
+// fixes the bit pattern of Finalize's mean.
 func (lp *TenantLoop[T]) appendSamples(s []float64) {
 	if need := len(lp.samples) + len(s); need > cap(lp.samples) {
 		grow := 2 * cap(lp.samples)
@@ -244,9 +239,8 @@ func (lp *TenantLoop[T]) appendSamples(s []float64) {
 // load and snapshots it. This is the parallel phase: it touches only the
 // loop's own engine and generator. The interval's offered loads are drawn
 // up front into a reused buffer and run through engine.TickBatch — the
-// generator and the engine own independent RNG streams, so batching the
-// draws preserves both sequences and the interval is bit-identical to the
-// per-call RunTicksReference.
+// generator and the engine own independent RNG streams, so drawing the
+// loads first preserves both sequences.
 func (lp *TenantLoop[T]) RunTicks(targetRPS float64) {
 	n := lp.eng.TicksPerInterval()
 	if cap(lp.offered) < n {
@@ -257,31 +251,9 @@ func (lp *TenantLoop[T]) RunTicks(targetRPS float64) {
 		buf[t] = lp.gen.Offered(targetRPS)
 	}
 	lp.eng.TickBatch(buf)
-	if lp.collect && !lp.sinkOn {
-		// Bulk-copy the interval's samples before EndInterval resets them.
-		// The engine sink stays uninstalled on this path, so the kernel
-		// skips the per-sample closure call entirely.
+	if lp.cfg.CollectLatencies {
+		// Copy the interval's samples before EndInterval resets them.
 		lp.appendSamples(lp.eng.IntervalLatencies())
-	}
-	lp.snap = lp.eng.EndInterval()
-}
-
-// RunTicksReference is RunTicks through per-call engine.Tick — the
-// retained pre-batching interval loop. It is kept as the exact baseline
-// the cluster benchmark gate and the batching equivalence tests measure
-// RunTicks against.
-func (lp *TenantLoop[T]) RunTicksReference(targetRPS float64) {
-	if lp.collect && !lp.sinkOn {
-		// The baseline collected latencies through a per-sample sink
-		// closure; installing it here (before the loop's first tick) keeps
-		// the reference schedule's costs faithful to that era. Once on, the
-		// sink owns collection for the rest of the run — RunTicks sees
-		// sinkOn and skips its bulk copy.
-		lp.eng.SetLatencySink(func(ms float64) { lp.samples = append(lp.samples, ms) })
-		lp.sinkOn = true
-	}
-	for t := 0; t < lp.eng.TicksPerInterval(); t++ {
-		lp.eng.Tick(lp.gen.Offered(targetRPS))
 	}
 	lp.snap = lp.eng.EndInterval()
 }

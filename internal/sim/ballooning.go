@@ -123,22 +123,6 @@ type BallooningSpec struct {
 	Audit bool
 }
 
-// RunBallooningExperiment reproduces Figure 14: a CPUIO workload with a
-// ≈3GB working set under steady demand, where low memory demand has been
-// (incorrectly) estimated. Without ballooning, memory drops to the next
-// smaller container at once: the working set no longer fits, disk I/O and
-// latency explode (≈2 orders of magnitude), the system reverts, and the
-// slow cache re-warm prolongs the damage. With ballooning, memory shrinks
-// gradually and the probe aborts as soon as I/O rises — near the working
-// set — with minimal latency impact.
-//
-// Deprecated: use NewRunner().RunBallooning(ctx, spec), which adds context
-// cancellation and runs the two (independent) arms concurrently; results
-// are identical to this wrapper.
-func RunBallooningExperiment(spec BallooningSpec) (BallooningResult, error) {
-	return NewRunner().RunBallooning(context.Background(), spec)
-}
-
 // runBallooning is the context-aware implementation behind
 // Runner.RunBallooning. The spec must already be validated. The two arms
 // are fully independent simulations (separate engines, generators and

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestBallooningFigure14Shape asserts the Figure 14 claims: without
 // ballooning, the incorrect low-memory estimate evicts the working set and
@@ -8,7 +11,7 @@ import "testing"
 // ballooning, the probe aborts near the working set and latency barely
 // moves.
 func TestBallooningFigure14Shape(t *testing.T) {
-	res, err := RunBallooningExperiment(BallooningSpec{Seed: 9})
+	res, err := NewRunner().RunBallooning(context.Background(), BallooningSpec{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +67,11 @@ func TestBallooningFigure14Shape(t *testing.T) {
 }
 
 func TestBallooningDeterminism(t *testing.T) {
-	a, err := RunBallooningExperiment(BallooningSpec{Seed: 4, Intervals: 60})
+	a, err := NewRunner().RunBallooning(context.Background(), BallooningSpec{Seed: 4, Intervals: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunBallooningExperiment(BallooningSpec{Seed: 4, Intervals: 60})
+	b, err := NewRunner().RunBallooning(context.Background(), BallooningSpec{Seed: 4, Intervals: 60})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"daasscale/internal/fleet"
@@ -24,7 +25,7 @@ func TestCalibratedThresholdsEndToEnd(t *testing.T) {
 	if err := th.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	comp, err := RunComparison(ComparisonSpec{
+	comp, err := NewRunner().RunComparison(context.Background(), ComparisonSpec{
 		Workload:   workload.CPUIO(workload.DefaultCPUIOConfig()),
 		Trace:      trace.Trace2(900, 2),
 		GoalFactor: 1.25,

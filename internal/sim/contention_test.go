@@ -81,13 +81,13 @@ func TestContentionInflatesWaits(t *testing.T) {
 		EngineOpts: engine.Options{WarmStart: true},
 		Seed:       9,
 	}
-	off, err := RunMultiTenant(base)
+	off, err := NewRunner().RunMultiTenant(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hot := base
 	hot.Contention = fabric.Contention{Enable: true}
-	on, err := RunMultiTenant(hot)
+	on, err := NewRunner().RunMultiTenant(context.Background(), hot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func lastContended(r MultiTenantResult) (last, count int) {
 // into the run.
 func TestRebalanceRestoresGoals(t *testing.T) {
 	base := steadySpec()
-	stuck, err := RunMultiTenant(base)
+	stuck, err := NewRunner().RunMultiTenant(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestRebalanceRestoresGoals(t *testing.T) {
 
 	balanced := base
 	balanced.RebalanceEvery = 5
-	reb, err := RunMultiTenant(balanced)
+	reb, err := NewRunner().RunMultiTenant(context.Background(), balanced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestRebalanceActuatedChargesAndRetries(t *testing.T) {
 	spec := steadySpec()
 	spec.RebalanceEvery = 5
 	spec.Actuation = actuationChaosConfig()
-	res, err := RunMultiTenant(spec)
+	res, err := NewRunner().RunMultiTenant(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

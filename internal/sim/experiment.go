@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"context"
-
 	"daasscale/internal/actuate"
 	"daasscale/internal/budget"
 	"daasscale/internal/engine"
@@ -80,17 +78,4 @@ func (c Comparison) MustByPolicy(name string) Result {
 		panic("sim: no result for policy " + name)
 	}
 	return r
-}
-
-// RunComparison executes the full six-policy experiment. The offline
-// baselines (Peak, Avg, Trace) are derived from a Max run of the identical
-// workload, then every policy replays the exact same offered load
-// (deterministic generator), matching the paper's methodology.
-//
-// Deprecated: use NewRunner().RunComparison(ctx, cs), which adds context
-// cancellation, uniform ErrInvalidSpec validation, and fans the five
-// post-Max policy runs across a worker pool (the results are bit-identical
-// to this serial wrapper).
-func RunComparison(cs ComparisonSpec) (Comparison, error) {
-	return NewRunner().RunComparison(context.Background(), cs)
 }

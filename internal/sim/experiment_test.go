@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"daasscale/internal/telemetry"
@@ -9,10 +10,10 @@ import (
 )
 
 func TestRunComparisonValidation(t *testing.T) {
-	if _, err := RunComparison(ComparisonSpec{}); err == nil {
+	if _, err := NewRunner().RunComparison(context.Background(), ComparisonSpec{}); err == nil {
 		t.Error("missing workload/trace should fail")
 	}
-	if _, err := RunComparison(ComparisonSpec{
+	if _, err := NewRunner().RunComparison(context.Background(), ComparisonSpec{
 		Workload: workload.DS2(), Trace: trace.Trace1(30, 1), GoalFactor: 0.5,
 	}); err == nil {
 		t.Error("goal factor ≤ 1 should fail")
@@ -27,7 +28,7 @@ func TestComparisonFigure9aShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end comparison")
 	}
-	comp, err := RunComparison(ComparisonSpec{
+	comp, err := NewRunner().RunComparison(context.Background(), ComparisonSpec{
 		Workload:   workload.CPUIO(workload.DefaultCPUIOConfig()),
 		Trace:      trace.Trace2(900, 2),
 		GoalFactor: 1.25,
@@ -79,7 +80,7 @@ func TestComparisonFigure9bLooseGoal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end comparison")
 	}
-	tight, err := RunComparison(ComparisonSpec{
+	tight, err := NewRunner().RunComparison(context.Background(), ComparisonSpec{
 		Workload:   workload.CPUIO(workload.DefaultCPUIOConfig()),
 		Trace:      trace.Trace2(900, 2),
 		GoalFactor: 1.25,
@@ -88,7 +89,7 @@ func TestComparisonFigure9bLooseGoal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := RunComparison(ComparisonSpec{
+	loose, err := NewRunner().RunComparison(context.Background(), ComparisonSpec{
 		Workload:   workload.CPUIO(workload.DefaultCPUIOConfig()),
 		Trace:      trace.Trace2(900, 2),
 		GoalFactor: 5,
@@ -117,7 +118,7 @@ func TestComparisonFigure10LockBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end comparison")
 	}
-	comp, err := RunComparison(ComparisonSpec{
+	comp, err := NewRunner().RunComparison(context.Background(), ComparisonSpec{
 		Workload:   workload.TPCC(),
 		Trace:      trace.Trace4(1440, 4),
 		GoalFactor: 1.25,
@@ -164,7 +165,7 @@ func TestComparisonFigure12Steady(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end comparison")
 	}
-	comp, err := RunComparison(ComparisonSpec{
+	comp, err := NewRunner().RunComparison(context.Background(), ComparisonSpec{
 		Workload:   workload.DS2(),
 		Trace:      trace.Trace1(1440, 1),
 		GoalFactor: 1.25,

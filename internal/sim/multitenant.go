@@ -156,21 +156,6 @@ type MultiTenantSpec struct {
 	Recorder loop.Recorder
 }
 
-// RunMultiTenant executes the cluster simulation. Each tenant gets its own
-// engine (the container abstraction isolates tenants from each other) and
-// its own auto-scaler; all resizes flow through the shared fabric, which
-// may migrate tenants between servers or refuse a resize outright when the
-// cluster has no room — in which case the tenant keeps its container and
-// the controller reconciles.
-//
-// Deprecated: use NewRunner().RunMultiTenant(ctx, spec), which adds
-// context cancellation and a progress hook. This wrapper already fans
-// per-tenant engine work across every available core; worker count never
-// changes results (they are bit-identical at any parallelism).
-func RunMultiTenant(spec MultiTenantSpec) (MultiTenantResult, error) {
-	return NewRunner().RunMultiTenant(context.Background(), spec)
-}
-
 // fabricApplier lands a tenant's resizes on the shared fabric: a refusal
 // surfaces as actuate.ErrRefused (the loop reconciles on the synchronous
 // path, the actuator retries with backoff on the actuated one), a
@@ -245,20 +230,6 @@ type tenantState struct {
 	activeScalar float64
 }
 
-// clusterSchedule selects how runMultiTenant lays the interval loop over
-// the worker pool. The zero value is the optimized schedule.
-type clusterSchedule struct {
-	// reference selects the retained pre-optimization schedule: per-call
-	// engine ticks (loop.RunTicksReference) fanned across workers, then a
-	// fully serial DecideApply phase — exactly the PR-6 interval loop. The
-	// cluster benchmark measures the optimized schedule against it;
-	// results are bit-identical either way.
-	reference bool
-	// labels wraps each phase in runtime/pprof labels so CPU profiles can
-	// be split per phase. Off by default: pprof.Do allocates per call.
-	labels bool
-}
-
 // runMultiTenant is the context-aware, pool-parallel implementation behind
 // Runner.RunMultiTenant. The spec must already be validated and resolved.
 //
@@ -276,7 +247,10 @@ type clusterSchedule struct {
 // its own previous apply, the schedule produces bit-identical results to
 // the serial interleaving at any worker count (the golden equivalence
 // suite and the worker-count chaos tests pin this).
-func runMultiTenant(ctx context.Context, spec MultiTenantSpec, pool *exec.Pool, sched clusterSchedule) (MultiTenantResult, error) {
+//
+// labels wraps each phase in runtime/pprof labels so CPU profiles can be
+// split per phase.
+func runMultiTenant(ctx context.Context, spec MultiTenantSpec, pool *exec.Pool, labels bool) (MultiTenantResult, error) {
 	cat := spec.Catalog
 	servers := spec.Servers
 	if servers == 0 {
@@ -315,10 +289,6 @@ func runMultiTenant(ctx context.Context, spec MultiTenantSpec, pool *exec.Pool, 
 		if err != nil {
 			return nil, err
 		}
-		sampleHint := 0
-		if !sched.reference {
-			sampleHint = intervals * eng.TicksPerInterval() * engine.MaxLatencySamplesPerTick
-		}
 		st := &tenantState{spec: ts, eng: eng, res: TenantResult{ID: ts.ID}, activeScalar: 1}
 		rec, col := specRecorder(spec.Audit, spec.Recorder)
 		st.col = col
@@ -338,10 +308,8 @@ func runMultiTenant(ctx context.Context, spec MultiTenantSpec, pool *exec.Pool, 
 			CollectLatencies: true,
 			// Idle tenants (trace ended) record no samples, so this is an
 			// upper bound; it turns a run's worth of sample collection into
-			// one allocation per tenant. The reference schedule leaves it
-			// unset: the baseline grew its buffers on demand, and the
-			// benchmark gate measures against that era's behavior.
-			SampleCapacityHint: sampleHint,
+			// one allocation per tenant.
+			SampleCapacityHint: intervals * eng.TicksPerInterval() * engine.MaxLatencySamplesPerTick,
 		})
 		return st, nil
 	})
@@ -405,7 +373,7 @@ func runMultiTenant(ctx context.Context, spec MultiTenantSpec, pool *exec.Pool, 
 	// The pprof label sets are built once per run: pprof.Do itself
 	// allocates per call, which is why labelling is opt-in at all.
 	var ticksLabels, applyLabels pprof.LabelSet
-	if sched.labels {
+	if labels {
 		ticksLabels = pprof.Labels("phase", "ticks+decide")
 		applyLabels = pprof.Labels("phase", "apply")
 	}
@@ -415,9 +383,7 @@ func runMultiTenant(ctx context.Context, spec MultiTenantSpec, pool *exec.Pool, 
 			return MultiTenantResult{}, fmt.Errorf("sim: cluster interval %d: %w", m, err)
 		}
 		// Phase 1: every tenant's billing interval — engine ticks plus the
-		// tenant-local scaling decision — fanned across workers. The
-		// reference schedule keeps the historical shape: per-call ticks
-		// here, decisions deferred to the serial phase.
+		// tenant-local scaling decision — fanned across workers.
 		err := pool.Run(ctx, len(states), func(_ context.Context, i int) error {
 			st := states[i]
 			target := st.spec.Trace.At(m)
@@ -425,14 +391,10 @@ func runMultiTenant(ctx context.Context, spec MultiTenantSpec, pool *exec.Pool, 
 				target = 0 // this tenant's trace ended; it idles
 			}
 			run := func() {
-				if sched.reference {
-					st.lp.RunTicksReference(target)
-				} else {
-					st.lp.RunTicks(target)
-					st.lp.Decide(m)
-				}
+				st.lp.RunTicks(target)
+				st.lp.Decide(m)
 			}
-			if sched.labels {
+			if labels {
 				pprof.Do(ctx, ticksLabels, func(context.Context) { run() })
 			} else {
 				run()
@@ -447,19 +409,13 @@ func runMultiTenant(ctx context.Context, spec MultiTenantSpec, pool *exec.Pool, 
 		// Records reach a shared Recorder from here, so it needs no locking.
 		apply := func() error {
 			for _, st := range states {
-				var err error
-				if sched.reference {
-					err = st.lp.DecideApply(m)
-				} else {
-					err = st.lp.Apply(m)
-				}
-				if err != nil {
+				if err := st.lp.Apply(m); err != nil {
 					return fmt.Errorf("sim: interval %d: resizing tenant %q: %w", m, st.spec.ID, err)
 				}
 			}
 			return nil
 		}
-		if sched.labels {
+		if labels {
 			var applyErr error
 			pprof.Do(ctx, applyLabels, func(context.Context) { applyErr = apply() })
 			err = applyErr

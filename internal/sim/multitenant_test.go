@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -11,10 +12,10 @@ import (
 )
 
 func TestRunMultiTenantValidation(t *testing.T) {
-	if _, err := RunMultiTenant(MultiTenantSpec{}); err == nil {
+	if _, err := NewRunner().RunMultiTenant(context.Background(), MultiTenantSpec{}); err == nil {
 		t.Error("empty tenant list should fail")
 	}
-	if _, err := RunMultiTenant(MultiTenantSpec{Tenants: []TenantSpec{{ID: "x"}}}); err == nil {
+	if _, err := NewRunner().RunMultiTenant(context.Background(), MultiTenantSpec{Tenants: []TenantSpec{{ID: "x"}}}); err == nil {
 		t.Error("tenant without workload/trace should fail")
 	}
 }
@@ -30,7 +31,7 @@ func TestMultiTenantClusterRun(t *testing.T) {
 		Policy:     fabric.BestFit,
 		EngineOpts: engine.Options{WarmStart: true},
 	}
-	res, err := RunMultiTenant(spec)
+	res, err := NewRunner().RunMultiTenant(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestMultiTenantRefusalsReconcile(t *testing.T) {
 		Servers: 1,
 		Policy:  fabric.FirstFit,
 	}
-	res, err := RunMultiTenant(spec)
+	res, err := NewRunner().RunMultiTenant(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +94,11 @@ func TestMultiTenantDeterminism(t *testing.T) {
 			EngineOpts: engine.Options{WarmStart: true},
 		}
 	}
-	a, err := RunMultiTenant(spec())
+	a, err := NewRunner().RunMultiTenant(context.Background(), spec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMultiTenant(spec())
+	b, err := NewRunner().RunMultiTenant(context.Background(), spec())
 	if err != nil {
 		t.Fatal(err)
 	}

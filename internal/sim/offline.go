@@ -30,17 +30,9 @@ type OfflineBaselines struct {
 	Schedule []resource.Container
 }
 
-// DeriveOffline runs the workload once in the largest container (Max) and
+// deriveOffline runs the workload once in the largest container (Max) and
 // derives the offline baselines from the observed resource usage, exactly
 // as the paper constructs Static(Peak), Static(Avg) and Trace.
-//
-// Deprecated: use Runner.DeriveOffline, which adds context cancellation.
-// This wrapper is equivalent to calling it with context.Background().
-func DeriveOffline(cat *resource.Catalog, w *workload.Workload, tr *trace.Trace, seed int64, opts engine.Options) (OfflineBaselines, error) {
-	return deriveOffline(context.Background(), cat, w, tr, seed, opts)
-}
-
-// deriveOffline is the context-aware implementation.
 //
 // Memory requirements per interval are taken as the cached bytes clamped to
 // a small margin above the working set: on Max the cache grows far past the

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"daasscale/internal/core"
@@ -27,7 +28,7 @@ func TestAutoStableUnderTelemetryNoise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := Run(Spec{
+		r, err := NewRunner().Run(context.Background(), Spec{
 			Workload:   workload.DS2(),
 			Trace:      trace.Trace1(300, 5),
 			Policy:     policy.NewAuto(scaler),
@@ -79,7 +80,7 @@ func TestAutoRecoversFromMidRunLoadShift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Run(Spec{
+	r, err := NewRunner().Run(context.Background(), Spec{
 		Workload:   workload.DS2(),
 		Trace:      tr,
 		Policy:     policy.NewAuto(scaler),

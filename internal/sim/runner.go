@@ -41,7 +41,6 @@ type Runner struct {
 	jitter      float64
 	faults      faults.Plan
 	actuation   actuate.Config
-	clusterRef  bool
 	phaseLabels bool
 }
 
@@ -111,17 +110,6 @@ func WithActuation(cfg actuate.Config) Option {
 	return func(r *Runner) { r.actuation = cfg }
 }
 
-// WithClusterReference makes RunMultiTenant use the retained pre-batching
-// cluster schedule: per-call engine ticks and a fully serial decide+apply
-// phase, exactly as the runner executed before the parallel-decide /
-// batched-tick-kernel optimization. Results are bit-identical to the
-// optimized schedule — this option exists so the cluster benchmark and the
-// profiling harness can measure the optimization against its in-tree
-// baseline, not for production use.
-func WithClusterReference() Option {
-	return func(r *Runner) { r.clusterRef = true }
-}
-
 // WithPhaseLabels annotates the cluster runner's phases with runtime/pprof
 // labels (`phase=ticks+decide`, `phase=apply`) so CPU profiles can
 // attribute samples per phase (`go tool pprof -tagfocus phase=apply`).
@@ -132,8 +120,7 @@ func WithPhaseLabels() Option {
 }
 
 // NewRunner builds a Runner from functional options. The zero-option
-// Runner behaves exactly like the historical free functions, except that
-// fleet-scale paths use every available core.
+// Runner uses every available core on fleet-scale paths.
 func NewRunner(opts ...Option) *Runner {
 	r := &Runner{}
 	for _, o := range opts {
@@ -332,8 +319,15 @@ func (r *Runner) RunComparison(ctx context.Context, cs ComparisonSpec) (Comparis
 	return comp, nil
 }
 
-// RunBallooning reproduces Figure 14. The two arms (naive scale-down vs
-// ballooning probe) are independent simulations and run concurrently.
+// RunBallooning reproduces Figure 14: a CPUIO workload with a ≈3GB working
+// set under steady demand, where low memory demand has been (incorrectly)
+// estimated. Without ballooning, memory drops to the next smaller container
+// at once: the working set no longer fits, disk I/O and latency explode
+// (≈2 orders of magnitude), the system reverts, and the slow cache re-warm
+// prolongs the damage. With ballooning, memory shrinks gradually and the
+// probe aborts as soon as I/O rises — near the working set — with minimal
+// latency impact. The two arms are independent simulations and run
+// concurrently.
 func (r *Runner) RunBallooning(ctx context.Context, spec BallooningSpec) (BallooningResult, error) {
 	spec.Seed = r.resolveSeed(spec.Seed)
 	if spec.Faults == (faults.Plan{}) {
@@ -348,13 +342,21 @@ func (r *Runner) RunBallooning(ctx context.Context, spec BallooningSpec) (Balloo
 	return runBallooning(ctx, spec, r.newPool())
 }
 
-// RunMultiTenant executes the cluster simulation — see the package-level
-// documentation of the deprecated RunMultiTenant wrapper for the model.
-// Within every billing interval the per-tenant engine work (the ticks,
-// >99% of the cycles) fans out across the pool; the fabric decisions that
-// couple tenants then apply serially in tenant order, which keeps the
-// outcome bit-identical to a serial run while the wall-clock scales with
-// the worker count.
+// RunMultiTenant executes the cluster simulation. Each tenant gets its own
+// engine (the container abstraction isolates tenants from each other) and
+// its own auto-scaler; all resizes flow through the shared fabric, which
+// may migrate tenants between servers or refuse a resize outright when the
+// cluster has no room — in which case the tenant keeps its container and
+// the controller reconciles.
+//
+// Within every billing interval the per-tenant work — the engine ticks,
+// the telemetry signals and the scaling decision — fans out across the
+// pool; the fabric operations that couple tenants then apply serially in
+// tenant order, which keeps the outcome bit-identical to a serial run at
+// any worker count. Measured on the benchmark's cluster_contended
+// workload, engine.TickBatch is about half of the parallel phase's CPU
+// and a third of the run's wall time, so wall-clock does not scale
+// linearly with workers.
 func (r *Runner) RunMultiTenant(ctx context.Context, spec MultiTenantSpec) (MultiTenantResult, error) {
 	spec.Catalog = r.resolveCatalog(spec.Catalog)
 	spec.EngineOpts = r.resolveEngineOpts(spec.EngineOpts)
@@ -367,10 +369,7 @@ func (r *Runner) RunMultiTenant(ctx context.Context, spec MultiTenantSpec) (Mult
 	if err := spec.Validate(); err != nil {
 		return MultiTenantResult{}, err
 	}
-	return runMultiTenant(ctx, spec, r.newPool(), clusterSchedule{
-		reference: r.clusterRef,
-		labels:    r.phaseLabels,
-	})
+	return runMultiTenant(ctx, spec, r.newPool(), r.phaseLabels)
 }
 
 // execMapPool is exec.Map over an existing pool.

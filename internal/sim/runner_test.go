@@ -291,39 +291,3 @@ func TestRunnerRunPoliciesOrder(t *testing.T) {
 		}
 	}
 }
-
-// TestDeprecatedWrappersAgree pins the compatibility contract: the old free
-// functions are thin wrappers and must return exactly what the Runner does.
-func TestDeprecatedWrappersAgree(t *testing.T) {
-	spec := Spec{
-		Workload: workload.DS2(),
-		Trace:    shortTrace(),
-		Policy:   policy.NewStatic("Fixed", cat.AtStep(5)),
-		Seed:     3,
-		GoalMs:   100,
-	}
-	oldRes, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newRes, err := NewRunner().Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldRes, newRes) {
-		t.Error("Run wrapper and Runner.Run disagree")
-	}
-
-	mt := clusterSpec()
-	oldMT, err := RunMultiTenant(mt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newMT, err := NewRunner(WithParallelism(1)).RunMultiTenant(context.Background(), mt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldMT, newMT) {
-		t.Error("RunMultiTenant wrapper and serial Runner disagree")
-	}
-}

@@ -139,15 +139,6 @@ type Result struct {
 // MeetsGoal reports whether the run-level p95 met the given goal.
 func (r Result) MeetsGoal(goalMs float64) bool { return r.P95Ms <= goalMs }
 
-// Run executes the experiment.
-//
-// Deprecated: use NewRunner().Run(ctx, spec), which adds context
-// cancellation and uniform ErrInvalidSpec validation. This wrapper is
-// equivalent to calling it with context.Background().
-func Run(spec Spec) (Result, error) {
-	return NewRunner().Run(context.Background(), spec)
-}
-
 // runSpecValidated validates and runs — for internal callers that bypass a
 // Runner's default resolution.
 func runSpecValidated(ctx context.Context, spec Spec) (Result, error) {

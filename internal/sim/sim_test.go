@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -18,16 +19,16 @@ func shortTrace() *trace.Trace {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Spec{}); err == nil {
+	if _, err := NewRunner().Run(context.Background(), Spec{}); err == nil {
 		t.Error("empty spec should fail")
 	}
-	if _, err := Run(Spec{Workload: workload.DS2(), Trace: shortTrace()}); err == nil {
+	if _, err := NewRunner().Run(context.Background(), Spec{Workload: workload.DS2(), Trace: shortTrace()}); err == nil {
 		t.Error("missing policy should fail")
 	}
 }
 
 func TestRunBasics(t *testing.T) {
-	res, err := Run(Spec{
+	res, err := NewRunner().Run(context.Background(), Spec{
 		Workload: workload.DS2(),
 		Trace:    shortTrace(),
 		Policy:   policy.NewStatic("Fixed", cat.AtStep(5)),
@@ -87,11 +88,11 @@ func TestRunDeterminism(t *testing.T) {
 			Seed:     5,
 		}
 	}
-	a, err := Run(spec())
+	a, err := NewRunner().Run(context.Background(), spec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(spec())
+	b, err := NewRunner().Run(context.Background(), spec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestRunDeterminism(t *testing.T) {
 }
 
 func TestRunNoGoalPerformanceFactorNaN(t *testing.T) {
-	res, err := Run(Spec{
+	res, err := NewRunner().Run(context.Background(), Spec{
 		Workload: workload.DS2(),
 		Trace:    trace.Trace1(30, 2),
 		Policy:   policy.NewMax(cat),
@@ -116,7 +117,8 @@ func TestRunNoGoalPerformanceFactorNaN(t *testing.T) {
 }
 
 func TestDeriveOffline(t *testing.T) {
-	off, err := DeriveOffline(cat, workload.CPUIO(workload.DefaultCPUIOConfig()), trace.Trace2(200, 9), 11, engine.Options{WarmStart: true})
+	r := NewRunner(WithCatalog(cat), WithSeed(11), WithEngineOptions(engine.Options{WarmStart: true}))
+	off, err := r.DeriveOffline(context.Background(), workload.CPUIO(workload.DefaultCPUIOConfig()), trace.Trace2(200, 9))
 	if err != nil {
 		t.Fatal(err)
 	}

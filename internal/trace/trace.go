@@ -356,6 +356,11 @@ func ReadCSV(r io.Reader, name string) (*Trace, error) {
 		if v < 0 {
 			return nil, fmt.Errorf("trace: row %d: negative rate %v", i, v)
 		}
+		// ParseFloat accepts "NaN" and "Inf"; one such tick would make every
+		// backlog and latency of the engine non-finite for its lifetime.
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("trace: row %d: non-finite rate %v", i, v)
+		}
 		tr.RPS = append(tr.RPS, v)
 	}
 	return tr, nil

@@ -214,6 +214,12 @@ func TestReadCSVErrors(t *testing.T) {
 	if _, err := ReadCSV(strings.NewReader("minute,rps\n0,-5\n"), "x"); err == nil {
 		t.Error("negative rate should error")
 	}
+	for _, rate := range []string{"NaN", "+Inf", "-Inf"} {
+		_, err := ReadCSV(strings.NewReader("minute,rps\n0,10\n1,"+rate+"\n"), "x")
+		if err == nil || !strings.Contains(err.Error(), "row 2") {
+			t.Errorf("rate %s: error = %v, want a rejection naming row 2", rate, err)
+		}
+	}
 }
 
 func TestConcatRepeatOverlay(t *testing.T) {
