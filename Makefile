@@ -26,10 +26,13 @@ race:
 
 # The allocation gate: testing.AllocsPerRun must report zero heap
 # allocations for a warm Manager.Signals decision point, for the warm
-# stats kernels and for the engine's per-call Tick. Run without -race (its
-# instrumentation allocates).
+# stats kernels and for the engine's per-call Tick (the *ZeroAlloc tests),
+# and hold the serving path to its counts (the *Allocs tests): a warm
+# ingest-body decode, one allocation per encoded ledger decision. Run
+# without -race (its instrumentation allocates).
 alloc-gate:
-	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/telemetry ./internal/stats ./internal/engine
+	$(GO) test -run 'ZeroAlloc|Allocs' -count=1 ./internal/telemetry ./internal/stats ./internal/engine \
+		./internal/serve ./internal/ledger
 
 # The chaos gate: deterministic fault injection end to end — the
 # sim-level chaos and actuation suites (parallel/serial bit identity,

@@ -175,26 +175,6 @@ type AutoScaler struct {
 	cur     resource.Container
 
 	downStreak int
-
-	history []Decision
-}
-
-// historyCap bounds the retained decision history.
-const historyCap = 256
-
-// History returns the most recent decisions (oldest first, up to 256) — the
-// audit trail behind the paper's "explanation" feature: operators and
-// tenants can review why each resize happened (or did not).
-func (a *AutoScaler) History() []Decision {
-	return append([]Decision(nil), a.history...)
-}
-
-// record appends a decision to the bounded history.
-func (a *AutoScaler) record(d Decision) {
-	a.history = append(a.history, d)
-	if len(a.history) > historyCap {
-		a.history = a.history[len(a.history)-historyCap:]
-	}
 }
 
 // New builds an AutoScaler from the configuration.
@@ -291,14 +271,10 @@ func (a *AutoScaler) latencyState(sig telemetry.Signals) (LatencyState, float64)
 
 // Observe ingests the telemetry snapshot of the billing interval that just
 // completed, charges its cost to the budget, and returns the decision for
-// the next interval. Every decision is retained in the audit history.
+// the next interval. The controller keeps no decision history: the audit
+// trail is the caller's record of the returned decisions (loop.DecisionRecord,
+// persisted per tenant by the ledger).
 func (a *AutoScaler) Observe(s telemetry.Snapshot) Decision {
-	d := a.observe(s)
-	a.record(d)
-	return d
-}
-
-func (a *AutoScaler) observe(s telemetry.Snapshot) Decision {
 	// Charge the completed interval. The cost was validated against the
 	// available budget when the container was chosen.
 	_ = a.bud.Charge(s.Cost)

@@ -89,14 +89,20 @@ func (d *decBuf) f64() float64 {
 	return v
 }
 
+// boolean accepts only the two bytes the encoder writes: any other byte
+// is corruption, so distinct payloads never decode to the same record.
 func (d *decBuf) boolean() bool {
 	if d.err != nil || d.off+1 > len(d.b) {
 		d.fail()
 		return false
 	}
-	v := d.b[d.off] != 0
+	v := d.b[d.off]
+	if v > 1 {
+		d.err = fmt.Errorf("ledger: bool byte 0x%02x at offset %d is neither 0 nor 1", v, d.off)
+		return false
+	}
 	d.off++
-	return v
+	return v == 1
 }
 
 func (d *decBuf) str() string {
@@ -198,10 +204,20 @@ func decodeSnapshot(d *decBuf, s *telemetry.Snapshot) {
 	s.PhysicalWrites = d.f64()
 }
 
+// decisionFixedLen is the payload length of a DecisionRecord whose strings
+// and explanations are all empty: every fixed-width field plus every length
+// prefix. EncodeDecision sizes its buffer from it, so one record is one
+// allocation.
+const decisionFixedLen = 511
+
 // EncodeDecision renders one DecisionRecord as its canonical payload bytes
 // (no frame header or checksum — the Writer adds those).
 func EncodeDecision(r *loop.DecisionRecord) []byte {
-	e := &encBuf{b: make([]byte, 0, 256+len(r.Tenant)+len(r.Actual)+len(r.Target))}
+	n := decisionFixedLen + len(r.Tenant) + len(r.Snapshot.Container) + len(r.Actual) + len(r.Target)
+	for _, s := range r.Explanations {
+		n += 4 + len(s)
+	}
+	e := &encBuf{b: make([]byte, 0, n)}
 	e.str(r.Tenant)
 	e.i64(r.Interval)
 	encodeSnapshot(e, &r.Snapshot)

@@ -367,25 +367,12 @@ func (s *Server) Draining() bool {
 
 // wireSnapshot is one telemetry snapshot on the wire. Seq is the
 // idempotency key — the billing interval the snapshot covers; when
-// omitted it defaults to the snapshot's Interval field.
+// omitted it defaults to the snapshot's Interval field. The ingest body is
+// a single snapshot ({"seq","snapshot"}), a batch ({"batch":[...]}), or
+// both (single first); decodeBody reads it.
 type wireSnapshot struct {
 	Seq      *int               `json:"seq,omitempty"`
 	Snapshot telemetry.Snapshot `json:"snapshot"`
-}
-
-// seq resolves the effective sequence number.
-func (ws wireSnapshot) seq() int {
-	if ws.Seq != nil {
-		return *ws.Seq
-	}
-	return ws.Snapshot.Interval
-}
-
-// telemetryRequest is the ingest request body: a single snapshot, a
-// batch, or both (single first).
-type telemetryRequest struct {
-	wireSnapshot
-	Batch []wireSnapshot `json:"batch,omitempty"`
 }
 
 // ingestReply is the ingest response body.
@@ -404,21 +391,23 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("invalid tenant id %q", id))
 		return
 	}
-	var req telemetryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	dec, batch, err := decodeBody(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	defer dec.release()
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request body: %w", err))
 		return
 	}
-	var batch []wireSnapshot
-	if req.Seq != nil || req.Snapshot != (telemetry.Snapshot{}) {
-		batch = append(batch, req.wireSnapshot)
-	}
-	batch = append(batch, req.Batch...)
 	if len(batch) == 0 {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("empty request: need snapshot or batch"))
 		return
+	}
+	// A refused request decides nothing: every item is checked before the
+	// tenant is opened (or created) and before any of them is stepped.
+	for i := range batch {
+		if seq := batch[i].seq; seq < 0 {
+			s.fail(w, http.StatusBadRequest, fmt.Errorf("serve: negative sequence number %d", seq))
+			return
+		}
 	}
 
 	t := s.tenantFor(w, id, true)

@@ -369,6 +369,26 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
+// TestRefusedBatchDecidesNothing: a 400 is refused whole. A batch whose
+// last seq is negative must neither decide its valid prefix nor create the
+// tenant and its ledger.
+func TestRefusedBatchDecidesNothing(t *testing.T) {
+	s := newTestServer(t, func(c *Config) { c.SyncEvery = -1 })
+	defer s.Close()
+
+	neg := -1
+	batch := []wireSnapshot{{Snapshot: snapFor(0)}, {Snapshot: snapFor(1)}, {Seq: &neg, Snapshot: snapFor(2)}}
+	if reply, code := post(t, s, "acme", map[string]interface{}{"batch": batch}); code != http.StatusBadRequest || reply.NextSeq != 0 {
+		t.Fatalf("status %d, reply %+v; want 400 acknowledging nothing", code, reply)
+	}
+	if code := get(t, s, "/v1/tenants/acme/decisions", nil); code != http.StatusNotFound {
+		t.Fatalf("decisions after a refused batch: status %d, want 404", code)
+	}
+	if _, err := os.Stat(filepath.Join(s.cfg.LedgerDir, "acme"+ledgerExt)); !os.IsNotExist(err) {
+		t.Fatalf("a refused batch created a ledger (stat error %v)", err)
+	}
+}
+
 func TestServeMaxTenants(t *testing.T) {
 	s := newTestServer(t, func(c *Config) { c.MaxTenants = 2 })
 	defer s.Close()

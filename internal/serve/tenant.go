@@ -329,7 +329,7 @@ func (t *tenant) flushOverflow(counts *ingestCounts) error {
 // nothing — the client resends after Retry-After, and because decided
 // intervals are duplicates, the resend is harmless. A quarantined tenant
 // answers 503 immediately (after at most one recovery probe).
-func (t *tenant) ingest(batch []wireSnapshot) (ingestCounts, int, error) {
+func (t *tenant) ingest(batch []ingestItem) (ingestCounts, int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
@@ -338,22 +338,19 @@ func (t *tenant) ingest(batch []wireSnapshot) (ingestCounts, int, error) {
 		return counts, http.StatusServiceUnavailable, fmt.Errorf("serve: tenant %s degraded (storage failure): %v", t.id, t.quarErr)
 	}
 	status := http.StatusOK
-	for _, ws := range batch {
+	for i := range batch {
 		if !t.bucket.allow(t.srv.now()) {
 			counts.RateLimited++
 			counts.RetryAfterSec = t.bucket.retryAfterSec()
 			status = http.StatusTooManyRequests
 			break
 		}
-		seq := ws.seq()
-		if seq < 0 {
-			return counts, http.StatusBadRequest, fmt.Errorf("serve: negative sequence number %d", seq)
-		}
+		seq, snap := batch[i].seq, &batch[i].snap // seq ≥ 0: the handler checked
 		switch {
 		case seq < t.nextSeq:
 			counts.Duplicates++ // already decided (or flushed as a gap)
 		case seq == t.nextSeq:
-			if err := t.step(seq, ws.Snapshot, true); err != nil {
+			if err := t.step(seq, *snap, true); err != nil {
 				t.quarantine(err)
 				return ingestCounts{}, http.StatusServiceUnavailable, err
 			}
@@ -368,7 +365,7 @@ func (t *tenant) ingest(batch []wireSnapshot) (ingestCounts, int, error) {
 				counts.Duplicates++
 				continue
 			}
-			t.buf[seq] = ws.Snapshot
+			t.buf[seq] = *snap
 			counts.Buffered++
 			if err := t.flushOverflow(&counts); err != nil {
 				t.quarantine(err)
