@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race alloc-gate chaos crash explain verify bench bench-all bench-fleet bench-fabric bench-serve profile deprecation-gate
+.PHONY: all build test vet race alloc-gate chaos crash explain verify bench-all bench-fleet profile
 
 all: verify
 
@@ -58,27 +58,7 @@ explain:
 	$(GO) run ./cmd/daas-sim -workload ds2 -trace trace3 -faults 0.1 \
 		-actuation-latency 1 -actuation-fail 0.1 -explain -explain-rows 24
 
-# The deprecation gate: non-test code must not call the slice-materializing
-# fleet entry points (they remain only as exact oracles for tests). The
-# grep excludes internal/fleet itself, where the deprecated functions are
-# defined and wrapped.
-deprecation-gate:
-	@if grep -rn --include='*.go' --exclude='*_test.go' \
-		-E 'fleet\.(GenerateFleet(Context)?|Analyze(Context)?|ArchetypeBreakdown|CollectWaitSamples|SplitByUtilization|Correlation|Calibrate)\(' \
-		cmd examples internal --exclude-dir=fleet; then \
-		echo "deprecation-gate: non-test code calls a deprecated fleet entry point (use fleet.Stream / fleet.StreamCalibration)"; \
-		exit 1; \
-	fi
-	@echo "deprecation-gate: clean"
-
-verify: build test vet race alloc-gate chaos deprecation-gate
-
-# The telemetry hot-path benchmarks; headline numbers land in
-# BENCH_telemetry.json.
-bench:
-	BENCH_JSON=BENCH_telemetry.json $(GO) test -run '^$$' \
-		-bench 'BenchmarkSignalsWindow10|BenchmarkTheilSen|BenchmarkTelemetry1kTenants' \
-		-benchmem .
+verify: build test vet race alloc-gate chaos
 
 # The fleet-scale streaming benchmarks (1k/10k/100k tenants); tenants/sec
 # and peak heap land in BENCH_fleet.json.
@@ -86,22 +66,6 @@ bench-fleet:
 	BENCH_JSON=BENCH_fleet.json $(GO) test -run '^$$' \
 		-bench 'BenchmarkFleetStream|BenchmarkFleetCalibrationStream' \
 		-benchtime 1x -benchmem .
-
-# The packing-quality gate: on a 1000-tenant contended cluster the
-# placement optimizer must restore every predicted p95 to goal
-# (violations after rebalance = 0) and consolidate a spread fleet onto at
-# most 2x the capacity lower bound. Numbers land in BENCH_fabric.json.
-bench-fabric:
-	BENCH_JSON=BENCH_fabric.json $(GO) test -run '^$$' \
-		-bench 'BenchmarkFabricPacking1kTenants' -benchtime 1x -benchmem .
-
-# The serving-daemon ingest gate: concurrent tenant streams over real
-# HTTP against the full pipeline (JSON decode, idempotency/reorder,
-# policy decision, ledger append + fsync per request), throughput floored
-# at 10k snapshots/sec. Numbers land in BENCH_serve.json.
-bench-serve:
-	BENCH_JSON=BENCH_serve.json $(GO) test -run '^$$' \
-		-bench 'BenchmarkServeIngest' -benchtime 1x -benchmem .
 
 # Profile the cluster hot path: one 1k-tenant run with per-phase pprof
 # labels ("ticks+decide" vs "apply"), CPU and heap profiles written to

@@ -121,7 +121,8 @@ type Thresholds struct {
 }
 
 // DefaultThresholds returns thresholds calibrated against the default
-// container catalog and engine model (regenerable via fleet.Calibrate).
+// container catalog and engine model (regenerable via
+// fleet.StreamCalibration, e.g. `daas-fleet -save-thresholds`).
 func DefaultThresholds() Thresholds {
 	return Thresholds{
 		UtilLow:  0.30,

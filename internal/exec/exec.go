@@ -286,30 +286,3 @@ func (p *Pool) Stats() Progress {
 	}
 	return pr
 }
-
-// ForEach runs task(ctx, i) for every i in [0, n) on a throwaway pool.
-func ForEach(ctx context.Context, n int, opts Options, task func(ctx context.Context, i int) error) error {
-	return NewPool(opts).Run(ctx, n, task)
-}
-
-// Map fans task out across a throwaway pool and collects the results in
-// index order — the parallel equivalent of a deterministic serial loop.
-// Exactly one result slot is allocated per task; nothing else is buffered.
-func Map[T any](ctx context.Context, n int, opts Options, task func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	if n < 0 {
-		n = 0
-	}
-	out := make([]T, n)
-	err := ForEach(ctx, n, opts, func(ctx context.Context, i int) error {
-		v, err := task(ctx, i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}

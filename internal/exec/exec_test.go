@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,39 +12,11 @@ import (
 	"time"
 )
 
-func TestMapMatchesSerial(t *testing.T) {
-	task := func(_ context.Context, i int) (int64, error) {
-		// Deterministic per-index work: a short RNG stream from a split seed.
-		rng := rand.New(rand.NewSource(SplitSeed(42, int64(i))))
-		var sum int64
-		for k := 0; k < 100; k++ {
-			sum += rng.Int63n(1000)
-		}
-		return sum, nil
-	}
-	serial := make([]int64, 200)
-	for i := range serial {
-		v, _ := task(context.Background(), i)
-		serial[i] = v
-	}
-	for _, workers := range []int{1, 2, 7, 16} {
-		got, err := Map(context.Background(), len(serial), Options{Workers: workers}, task)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range serial {
-			if got[i] != serial[i] {
-				t.Fatalf("workers=%d: index %d diverged: %d vs %d", workers, i, got[i], serial[i])
-			}
-		}
-	}
-}
-
 func TestForEachEmptyAndNil(t *testing.T) {
-	if err := ForEach(context.Background(), 0, Options{}, func(context.Context, int) error { return nil }); err != nil {
+	if err := NewPool(Options{}).Run(context.Background(), 0, func(context.Context, int) error { return nil }); err != nil {
 		t.Errorf("empty batch: %v", err)
 	}
-	if err := ForEach(context.Background(), 3, Options{}, nil); err == nil {
+	if err := NewPool(Options{}).Run(context.Background(), 3, nil); err == nil {
 		t.Error("nil task should fail")
 	}
 }
@@ -53,7 +24,7 @@ func TestForEachEmptyAndNil(t *testing.T) {
 func TestForEachFirstErrorWins(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int64
-	err := ForEach(context.Background(), 1000, Options{Workers: 4}, func(ctx context.Context, i int) error {
+	err := NewPool(Options{Workers: 4}).Run(context.Background(), 1000, func(ctx context.Context, i int) error {
 		ran.Add(1)
 		if i == 10 {
 			return fmt.Errorf("task %d: %w", i, boom)
@@ -73,7 +44,7 @@ func TestForEachCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	err := ForEach(ctx, 100, Options{Workers: 2}, func(context.Context, int) error {
+	err := NewPool(Options{Workers: 2}).Run(ctx, 100, func(context.Context, int) error {
 		ran.Add(1)
 		return nil
 	})
@@ -89,7 +60,7 @@ func TestForEachCancelMidBatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
 	start := time.Now()
-	err := ForEach(ctx, 10_000, Options{Workers: 2}, func(ctx context.Context, i int) error {
+	err := NewPool(Options{Workers: 2}).Run(ctx, 10_000, func(ctx context.Context, i int) error {
 		if ran.Add(1) == 20 {
 			cancel()
 		}
@@ -196,7 +167,7 @@ func TestSplitSeed(t *testing.T) {
 // first task error.
 func TestPanicRecoveredIntoTaskError(t *testing.T) {
 	var done atomic.Int64
-	err := ForEach(context.Background(), 64, Options{Workers: 4}, func(ctx context.Context, i int) error {
+	err := NewPool(Options{Workers: 4}).Run(context.Background(), 64, func(ctx context.Context, i int) error {
 		if i == 7 {
 			panic("tenant 7 corrupted its engine")
 		}
@@ -247,7 +218,7 @@ func TestPanicCountsAsFailedTask(t *testing.T) {
 // context is cut off at the deadline and the batch fails with an error
 // wrapping context.DeadlineExceeded; the parent context stays live.
 func TestTaskTimeoutWatchdog(t *testing.T) {
-	err := ForEach(context.Background(), 2, Options{Workers: 2, TaskTimeout: 10 * time.Millisecond},
+	err := NewPool(Options{Workers: 2, TaskTimeout: 10 * time.Millisecond}).Run(context.Background(), 2,
 		func(ctx context.Context, i int) error {
 			if i == 0 {
 				return nil // fast task: finishes well inside the deadline
@@ -263,7 +234,7 @@ func TestTaskTimeoutWatchdog(t *testing.T) {
 // TestTaskTimeoutNotTriggeredByFastTasks: tasks that finish inside the
 // deadline are unaffected by the watchdog.
 func TestTaskTimeoutNotTriggeredByFastTasks(t *testing.T) {
-	err := ForEach(context.Background(), 32, Options{Workers: 4, TaskTimeout: time.Second},
+	err := NewPool(Options{Workers: 4, TaskTimeout: time.Second}).Run(context.Background(), 32,
 		func(ctx context.Context, i int) error { return ctx.Err() })
 	if err != nil {
 		t.Fatalf("fast tasks must pass under the watchdog: %v", err)

@@ -147,10 +147,10 @@ func (a *Aggregate) Merge(o *Aggregate) error {
 }
 
 // ArchetypeChangesPerDay reports the fleet-level container-change rate per
-// archetype: total changes divided by total tenant-days. Unlike the
-// deprecated ArchetypeBreakdown (the mean of per-tenant rates) this is a
-// ratio of integer totals, so it streams and merges exactly; the two agree
-// in shape — spiky ≫ steady — but not in decimals.
+// archetype — the fleet-operator view of which tenants drive the resize
+// volume: total changes divided by total tenant-days. A ratio of integer
+// totals rather than a mean of per-tenant rates, so it streams and merges
+// exactly.
 func (a *Aggregate) ArchetypeChangesPerDay() map[Archetype]float64 {
 	out := map[Archetype]float64{}
 	for i := Archetype(0); i < numArchetypes; i++ {
@@ -162,8 +162,8 @@ func (a *Aggregate) ArchetypeChangesPerDay() map[Archetype]float64 {
 }
 
 // Analysis renders the aggregate as the Section 2.2 Analysis. Every field
-// is derived from exact integer counters — bit-identical to the slice-based
-// Analyze on the same tenants — except IEICDF, which is the sketch's
+// is derived from exact integer counters — bit-identical to an exact
+// in-memory pass over the same tenants — except IEICDF, which is the sketch's
 // approximation: one point per occupied bin at the bin's lower value bound,
 // so probes at observed sample values never under-report (the overcount is
 // bounded by the sketch's per-bin resolution).

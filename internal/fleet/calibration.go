@@ -93,13 +93,10 @@ type CalibrationResult struct {
 // StreamCalibration runs the Section 4.1 calibration shard by shard:
 // each shard simulates its configurations, folds every interval's
 // (utilization, wait) observation into per-kind WaitDigests, and discards
-// the engines. Unlike the deprecated CollectWaitSamples — whose single
-// sequential RNG makes it inherently serial — each configuration draws its
-// randomness from exec.SplitSeed(seed, config), so shards are independent
-// and the merged result is bit-identical at any worker count, shard size,
-// and checkpoint/resume split. The two sample streams therefore differ for
-// the same seed; CollectWaitSamples remains the oracle only for its own
-// callers.
+// the engines. Each configuration draws its randomness from
+// exec.SplitSeed(seed, config), so shards are independent and the merged
+// result is bit-identical at any worker count, shard size, and
+// checkpoint/resume split.
 func StreamCalibration(ctx context.Context, spec CalibrationSpec, visit func(CalibrationShard) error) (CalibrationResult, error) {
 	o := spec.opts
 	if o.shardSize <= 0 {
@@ -164,10 +161,12 @@ func newCalibrationDigests(alpha float64) []*WaitDigest {
 	return out
 }
 
-// runCalibrationShard simulates the shard's configurations. The per-config
-// randomized setup mirrors CollectWaitSamples (same workload families,
-// container ladder draw, load range and jitter) but draws from a
-// config-split RNG so the shard is self-contained.
+// runCalibrationShard simulates the shard's configurations: a randomized
+// workload family (TPC-C, DS2 or a random CPU/IO mix), a container drawn
+// from the lock-step ladder and a load from idle to past saturation, with
+// per-tick jitter — a stand-in for observing thousands of production
+// tenants. Every draw comes from a config-split RNG, so the shard is
+// self-contained.
 func runCalibrationShard(ctx context.Context, spec CalibrationSpec, shard int) (CalibrationShard, error) {
 	o := spec.opts
 	first := shard * o.shardSize
@@ -233,7 +232,8 @@ func resumeCalibration(spec CalibrationSpec, total []*WaitDigest, shards int) (s
 	if spec.opts.checkpoint == "" {
 		return 0, 0, nil
 	}
-	next, payload, ok, err := readCheckpoint(spec.opts.fs, spec.opts.checkpoint, spec.fingerprint())
+	fp := spec.fingerprint()
+	next, payload, ok, err := readCheckpoint(spec.opts.fs, spec.opts.checkpoint, fp)
 	if err != nil || !ok {
 		return 0, 0, err
 	}
@@ -242,6 +242,11 @@ func resumeCalibration(spec CalibrationSpec, total []*WaitDigest, shards int) (s
 	}
 	if err := decodeCalibrationDigests(payload, total); err != nil {
 		return 0, 0, err
+	}
+	for _, d := range total {
+		if err := checkAccuracy(spec.opts.checkpoint, fp, d.alpha); err != nil {
+			return 0, 0, err
+		}
 	}
 	return next, next, nil
 }

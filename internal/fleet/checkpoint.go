@@ -107,3 +107,15 @@ func readCheckpoint(fsys fsio.FS, path string, fp checkpointFingerprint) (nextSh
 	}
 	return int(next), data[r.off:], true, nil
 }
+
+// checkAccuracy refuses a checkpoint payload whose sketches were built at a
+// different accuracy than the fingerprint records. Left alone, the first
+// shard merge would fail with a bare stats.ErrSketchMismatch, and a
+// checkpoint that already covers every shard would never merge at all.
+func checkAccuracy(path string, fp checkpointFingerprint, alpha float64) error {
+	if math.Float64bits(alpha) != fp.AlphaBits {
+		return fmt.Errorf("fleet: checkpoint %s holds sketches of accuracy %v, its fingerprint says %v",
+			path, alpha, math.Float64frombits(fp.AlphaBits))
+	}
+	return nil
+}

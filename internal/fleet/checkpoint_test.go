@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 
 	"daasscale/internal/diskfaults"
 	"daasscale/internal/fsio"
+	"daasscale/internal/stats"
 )
 
 // TestStreamKillAndResume is the checkpoint acceptance criterion: a run
@@ -163,6 +165,48 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestCheckpointAccuracyMismatch: a checkpoint whose fingerprint matches
+// the run but whose payload sketches were built at another accuracy must be
+// refused on resume with an error naming the checkpoint — both when shards
+// remain to merge (the mismatch used to surface as a bare
+// stats.ErrSketchMismatch) and when the checkpoint already covers every
+// shard (nothing merges, so it used to be accepted).
+func TestCheckpointAccuracyMismatch(t *testing.T) {
+	dir := t.TempDir()
+	aggPayload, err := NewAggregate(0.05).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	calPayload, err := encodeCalibrationDigests(newCalibrationDigests(0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, done := range []int{1, 2} {
+		ckpt := filepath.Join(dir, fmt.Sprintf("fleet-%d.ckpt", done))
+		spec := mustFleetSpec(t, 64, 1, 1, WithShardSize(32), WithCheckpoint(ckpt))
+		if err := writeCheckpoint(fsio.OS, ckpt, spec.fingerprint(), done, aggPayload); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Stream(context.Background(), spec, nil)
+		if err == nil || errors.Is(err, stats.ErrSketchMismatch) {
+			t.Errorf("fleet, %d of 2 shards done: err = %v, want a checkpoint accuracy error", done, err)
+		}
+
+		ckpt = filepath.Join(dir, fmt.Sprintf("cal-%d.ckpt", done))
+		calSpec, err := NewCalibrationSpec(4, 1, 1, WithShardSize(2), WithCheckpoint(ckpt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeCheckpoint(fsio.OS, ckpt, calSpec.fingerprint(), done, calPayload); err != nil {
+			t.Fatal(err)
+		}
+		_, err = StreamCalibration(context.Background(), calSpec, nil)
+		if err == nil || errors.Is(err, stats.ErrSketchMismatch) {
+			t.Errorf("calibration, %d of 2 shards done: err = %v, want a checkpoint accuracy error", done, err)
+		}
+	}
+}
+
 // TestCheckpointGarbageFile: a file that is not a checkpoint errors rather
 // than being treated as a fresh start (it might be the user's data).
 func TestCheckpointGarbageFile(t *testing.T) {
@@ -263,6 +307,15 @@ func TestWaitDigestBinaryRoundTrip(t *testing.T) {
 		if err := back.UnmarshalBinary(raw[:len(raw)-2]); err == nil {
 			t.Error("truncated digest should not decode")
 		}
+	}
+	mixed := newCalibrationDigests(0)[0]
+	mixed.highMs = stats.NewSketch(0.05)
+	raw, err := mixed.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := new(WaitDigest).UnmarshalBinary(raw); err == nil {
+		t.Error("a digest mixing sketch accuracies should not decode")
 	}
 }
 

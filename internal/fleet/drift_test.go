@@ -67,11 +67,7 @@ func TestWriteDriftReport(t *testing.T) {
 }
 
 func TestCalibrationPersistRoundTrip(t *testing.T) {
-	samples, err := CollectWaitSamples(80, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := Calibrate(samples)
+	th := streamCalibration(t, 80, 3, 3).Thresholds
 	var buf bytes.Buffer
 	if err := th.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

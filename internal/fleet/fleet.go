@@ -15,12 +15,10 @@
 package fleet
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
 
-	"daasscale/internal/exec"
 	"daasscale/internal/resource"
 	"daasscale/internal/stats"
 )
@@ -90,46 +88,11 @@ func (t *Tenant) Days() int {
 	return (len(t.Demand) + IntervalsPerDay - 1) / IntervalsPerDay
 }
 
-// GenerateFleet synthesizes n tenants with days of 5-minute demand history.
-// Archetypes, scales and resource mixes vary per tenant; everything is
-// deterministic in the seed. Equivalent to GenerateFleetContext with a
-// background context and default pool options.
-//
-// Deprecated: this materializes the whole fleet in one slice and cannot
-// scale past ~10k tenants. Use Stream, which generates, analyzes and
-// discards tenants shard by shard; GenerateFleet remains as the exact
-// in-memory oracle for tests and small interactive runs.
-func GenerateFleet(n, days int, seed int64) []Tenant {
-	f, _ := GenerateFleetContext(context.Background(), n, days, seed, exec.Options{})
-	return f
-}
-
-// GenerateFleetContext synthesizes the fleet across a worker pool. Each
-// tenant's RNG is derived from the fleet seed and the tenant index via
-// exec.SplitSeed, so the fleet is deterministic in the seed and
-// bit-identical at any worker count. The error is non-nil only when ctx is
-// canceled before generation finishes.
-//
-// Deprecated: like GenerateFleet this holds every tenant in memory at
-// once. Use Stream for fleet-scale runs; the per-tenant series it feeds to
-// its aggregator are bit-identical to the tenants this returns.
-func GenerateFleetContext(ctx context.Context, n, days int, seed int64, opts exec.Options) ([]Tenant, error) {
-	return exec.Map(ctx, n, opts, func(_ context.Context, i int) (Tenant, error) {
-		rng := rand.New(rand.NewSource(exec.SplitSeed(seed, int64(i))))
-		return generateTenant(i, days, rng), nil
-	})
-}
-
-// generateTenant builds one tenant's weekly demand in a fresh allocation.
-func generateTenant(id, days int, rng *rand.Rand) Tenant {
-	return generateTenantInto(id, days, rng, nil)
-}
-
-// generateTenantInto builds one tenant's demand into buf when it has the
-// capacity — the streaming pipeline's warm path reuses one demand buffer
-// for every tenant of a shard, which is what keeps the per-tenant
-// allocation count flat. The produced series is bit-identical to
-// generateTenant's for the same RNG stream.
+// generateTenantInto builds one tenant's weekly demand into buf when it has
+// the capacity — the streaming pipeline's warm path reuses one demand
+// buffer for every tenant of a shard, which is what keeps the per-tenant
+// allocation count flat. Archetypes, scales and resource mixes vary per
+// tenant; the series is a function of the RNG stream alone.
 func generateTenantInto(id, days int, rng *rand.Rand, buf []resource.Vector) Tenant {
 	arch := Archetype(rng.Intn(int(numArchetypes)))
 	intervals := days * IntervalsPerDay
@@ -199,15 +162,10 @@ func generateTenantInto(id, days int, rng *rand.Rand, buf []resource.Vector) Ten
 	return t
 }
 
-// AssignContainers maps each interval's demand to the smallest fitting
+// assignContainersInto maps each interval's demand to the smallest fitting
 // container (the paper's logical assignment, Section 2.2: "we logically
 // assigned the smallest container supported by the service that can meet
-// the resource requirements for that interval").
-func AssignContainers(t *Tenant, cat *resource.Catalog) []resource.Container {
-	return assignContainersInto(t, cat, nil)
-}
-
-// assignContainersInto is AssignContainers into a reusable buffer.
+// the resource requirements for that interval"), into a reusable buffer.
 func assignContainersInto(t *Tenant, cat *resource.Catalog, buf []resource.Container) []resource.Container {
 	if cap(buf) < len(t.Demand) {
 		buf = make([]resource.Container, len(t.Demand))
@@ -236,12 +194,8 @@ func (c ChangeEvent) StepDelta() int {
 	return d
 }
 
-// ChangeEvents extracts the change events from a container assignment.
-func ChangeEvents(assignment []resource.Container) []ChangeEvent {
-	return changeEventsInto(assignment, nil)
-}
-
-// changeEventsInto appends the change events into out[:0].
+// changeEventsInto extracts the change events from a container assignment,
+// appending them into out[:0].
 func changeEventsInto(assignment []resource.Container, out []ChangeEvent) []ChangeEvent {
 	out = out[:0]
 	for i := 1; i < len(assignment); i++ {
@@ -281,111 +235,4 @@ type Analysis struct {
 	// behind the estimator's 0/1/2-step constraint (≈90% and ≈98%).
 	OneStepShare        float64
 	AtMostTwoStepsShare float64
-}
-
-// ArchetypeBreakdown reports the average container changes per day for each
-// demand archetype — the fleet-operator view of *which* tenants drive the
-// resize volume.
-//
-// Deprecated: takes the whole fleet as a slice. The streaming pipeline's
-// Aggregate tracks the same breakdown incrementally; query it with
-// Aggregate.ArchetypeChangesPerDay (fleet-level rate rather than
-// mean-of-tenant-rates, see the method's comment).
-func ArchetypeBreakdown(fleet []Tenant, cat *resource.Catalog) map[Archetype]float64 {
-	sums := map[Archetype]float64{}
-	counts := map[Archetype]int{}
-	for i := range fleet {
-		t := &fleet[i]
-		days := t.Days()
-		if days == 0 {
-			continue
-		}
-		events := ChangeEvents(AssignContainers(t, cat))
-		sums[t.Archetype] += float64(len(events)) / float64(days)
-		counts[t.Archetype]++
-	}
-	out := map[Archetype]float64{}
-	for a, s := range sums {
-		out[a] = s / float64(counts[a])
-	}
-	return out
-}
-
-// Analyze runs the Section 2.2 study over the fleet. Equivalent to
-// AnalyzeContext with a background context and default pool options.
-//
-// Deprecated: requires the materialized fleet and buffers every
-// inter-event interval for the exact CDF. Use Stream, whose incremental
-// Aggregate reproduces every Analysis field bit-identically except IEICDF
-// (sketch resolution instead of sample resolution). Analyze remains as the
-// exact oracle the streaming equivalence tests compare against.
-func Analyze(fleet []Tenant, cat *resource.Catalog) Analysis {
-	a, _ := AnalyzeContext(context.Background(), fleet, cat, exec.Options{})
-	return a
-}
-
-// AnalyzeContext runs the study with the per-tenant work — container
-// assignment and change-event extraction, the expensive part — fanned
-// across a worker pool. Aggregation happens serially in tenant index order
-// afterwards, so the Analysis is bit-identical to a serial pass at any
-// worker count. The error is non-nil only when ctx is canceled.
-//
-// Deprecated: see Analyze; use Stream for fleet-scale runs.
-func AnalyzeContext(ctx context.Context, fleet []Tenant, cat *resource.Catalog, opts exec.Options) (Analysis, error) {
-	perTenant, err := exec.Map(ctx, len(fleet), opts, func(_ context.Context, i int) ([]ChangeEvent, error) {
-		return ChangeEvents(AssignContainers(&fleet[i], cat)), nil
-	})
-	if err != nil {
-		return Analysis{}, err
-	}
-	var a Analysis
-	a.Tenants = len(fleet)
-	var ieiMinutes []float64
-	var perTenantChangesPerDay []float64
-	var oneStep, atMostTwo int
-	for i := range fleet {
-		t := &fleet[i]
-		events := perTenant[i]
-		a.TotalChanges += len(events)
-		for j := range events {
-			if j > 0 {
-				ieiMinutes = append(ieiMinutes, float64(events[j].Interval-events[j-1].Interval)*5)
-			}
-			if events[j].StepDelta() == 1 {
-				oneStep++
-			}
-			if events[j].StepDelta() <= 2 {
-				atMostTwo++
-			}
-		}
-		days := t.Days()
-		if days > 0 {
-			perTenantChangesPerDay = append(perTenantChangesPerDay, float64(len(events))/float64(days))
-		}
-	}
-	a.IEICDF = stats.CDF(ieiMinutes)
-	a.IEIWithin60Min = stats.CDFAt(a.IEICDF, 60)
-	a.ChangesPerDayHist = stats.Histogram(perTenantChangesPerDay, []float64{1, 2, 3, 6, 12, 24})
-	var ge1, ge6, gt24 int
-	for _, c := range perTenantChangesPerDay {
-		if c >= 1 {
-			ge1++
-		}
-		if c >= 6 {
-			ge6++
-		}
-		if c > 24 {
-			gt24++
-		}
-	}
-	if n := len(perTenantChangesPerDay); n > 0 {
-		a.FracAtLeastOnePerDay = float64(ge1) / float64(n)
-		a.FracAtLeastSixPerDay = float64(ge6) / float64(n)
-		a.FracMoreThan24PerDay = float64(gt24) / float64(n)
-	}
-	if a.TotalChanges > 0 {
-		a.OneStepShare = float64(oneStep) / float64(a.TotalChanges)
-		a.AtMostTwoStepsShare = float64(atMostTwo) / float64(a.TotalChanges)
-	}
-	return a, nil
 }

@@ -3,12 +3,10 @@ package fleet
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 
-	"daasscale/internal/exec"
+	"daasscale/internal/estimator"
 	"daasscale/internal/resource"
-	"daasscale/internal/stats"
 )
 
 var cat = resource.LockStepCatalog()
@@ -27,11 +25,10 @@ func TestArchetypeString(t *testing.T) {
 	}
 }
 
+// TestGenerateFleetShape checks the tenant generator Stream runs: IDs,
+// series length, non-negative demand and archetype diversity.
 func TestGenerateFleetShape(t *testing.T) {
-	fleet := GenerateFleet(50, 7, 1)
-	if len(fleet) != 50 {
-		t.Fatalf("fleet size = %d", len(fleet))
-	}
+	fleet := generateFleet(50, 7, 1)
 	seen := map[Archetype]bool{}
 	for i := range fleet {
 		tn := &fleet[i]
@@ -59,8 +56,8 @@ func TestGenerateFleetShape(t *testing.T) {
 }
 
 func TestGenerateFleetDeterminism(t *testing.T) {
-	a := GenerateFleet(5, 2, 42)
-	b := GenerateFleet(5, 2, 42)
+	a := generateFleet(5, 2, 42)
+	b := generateFleet(5, 2, 42)
 	for i := range a {
 		for j := range a[i].Demand {
 			if a[i].Demand[j] != b[i].Demand[j] {
@@ -74,7 +71,7 @@ func TestChangeEvents(t *testing.T) {
 	assignment := []resource.Container{
 		cat.AtStep(0), cat.AtStep(0), cat.AtStep(2), cat.AtStep(1), cat.AtStep(1),
 	}
-	events := ChangeEvents(assignment)
+	events := changeEventsInto(assignment, nil)
 	if len(events) != 2 {
 		t.Fatalf("events = %+v", events)
 	}
@@ -86,13 +83,36 @@ func TestChangeEvents(t *testing.T) {
 	}
 }
 
+// streamFleet runs Stream over a lock-step fleet and returns its result.
+func streamFleet(t *testing.T, tenants, days int, seed int64) StreamResult {
+	t.Helper()
+	res, err := Stream(context.Background(), mustFleetSpec(t, tenants, days, seed, WithCatalog(cat)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// streamCalibration runs StreamCalibration and returns its result.
+func streamCalibration(t *testing.T, configs, intervalsPer int, seed int64) CalibrationResult {
+	t.Helper()
+	spec, err := NewCalibrationSpec(configs, intervalsPer, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := StreamCalibration(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestAnalyzeReproducesFigure2Shape(t *testing.T) {
 	// The Section 2.2 claims, as shapes: most changes happen within an hour
 	// of the previous one; a large majority of tenants change at least once
 	// a day; a substantial fraction change many times a day; and resizes
 	// are overwhelmingly small steps (Section 4: ≈90% one step, ≈98% ≤2).
-	fleet := GenerateFleet(400, 7, 7)
-	a := Analyze(fleet, cat)
+	a := streamFleet(t, 400, 7, 7).Analysis
 	if a.Tenants != 400 || a.TotalChanges == 0 {
 		t.Fatalf("analysis empty: %+v", a)
 	}
@@ -139,23 +159,21 @@ func TestAnalyzeReproducesFigure2Shape(t *testing.T) {
 }
 
 func TestAnalyzeEmptyFleet(t *testing.T) {
-	a := Analyze(nil, cat)
-	if a.TotalChanges != 0 || a.OneStepShare != 0 {
-		t.Errorf("empty fleet analysis should be zero: %+v", a)
+	res := streamFleet(t, 0, 7, 1)
+	if a := res.Analysis; a.Tenants != 0 || a.TotalChanges != 0 || a.OneStepShare != 0 || res.Shards != 0 {
+		t.Errorf("empty fleet analysis should be zero: %+v", res)
 	}
 }
 
 func TestWaitSamplesAndFigure4Shape(t *testing.T) {
-	samples, err := CollectWaitSamples(120, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) == 0 {
-		t.Fatal("no samples")
+	cal := streamCalibration(t, 120, 4, 3)
+	cpu := cal.Digests[0]
+	if cpu.Kind() != resource.CPU {
+		t.Fatalf("first digest is for %v", cpu.Kind())
 	}
 	// Figure 4: utilization and waits correlate positively but weakly — an
 	// increasing trend with a wide band.
-	rho, err := Correlation(samples, resource.CPU)
+	rho, err := cpu.Correlation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,35 +183,20 @@ func TestWaitSamplesAndFigure4Shape(t *testing.T) {
 	// The paper's two counterexample populations must both exist: high
 	// utilization with small waits, and (some) low utilization with
 	// nontrivial waits.
-	var highUtilLowWait, lowUtilSomeWait int
-	for _, s := range samples {
-		if s.Kind != resource.CPU {
-			continue
-		}
-		if s.Utilization > 0.7 && s.WaitMs < 10_000 {
-			highUtilLowWait++
-		}
-		if s.Utilization < 0.3 && s.WaitMs > 1_000 {
-			lowUtilSomeWait++
-		}
-	}
-	if highUtilLowWait == 0 {
+	if cpu.HighCount() == 0 || cpu.HighMs().Min() >= 10_000 {
 		t.Error("expected high-utilization/low-wait samples (utilization is not demand)")
 	}
-	if lowUtilSomeWait == 0 {
+	if cpu.LowCount() == 0 || cpu.LowMs().Max() <= 1_000 {
 		t.Error("expected low-utilization samples with nontrivial waits")
 	}
 }
 
 func TestFigure6SeparationAndCalibration(t *testing.T) {
-	samples, err := CollectWaitSamples(150, 4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []resource.Kind{resource.CPU, resource.DiskIO} {
-		d := SplitByUtilization(samples, k)
-		if len(d.LowUtilWaitMs) < 30 || len(d.HighUtilWaitMs) < 30 {
-			t.Fatalf("%v: not enough samples per side (%d low, %d high)", k, len(d.LowUtilWaitMs), len(d.HighUtilWaitMs))
+	cal := streamCalibration(t, 150, 4, 5)
+	for _, d := range cal.Digests {
+		k := d.Kind()
+		if d.LowCount() < 30 || d.HighCount() < 30 {
+			t.Fatalf("%v: not enough samples per side (%d low, %d high)", k, d.LowCount(), d.HighCount())
 		}
 		// Figure 6's key property: clear separation between the wait
 		// distributions at low and high utilization.
@@ -201,18 +204,18 @@ func TestFigure6SeparationAndCalibration(t *testing.T) {
 			t.Errorf("%v: separation = %v, want the high-utilization waits well above", k, sep)
 		}
 		// Percentage waits also separate (Figure 6(c) vs 6(d)).
-		lowPct := stats.Median(d.LowUtilWaitPct)
-		highPct := stats.Median(d.HighUtilWaitPct)
+		lowPct := d.LowPct().Quantile(0.5)
+		highPct := d.HighPct().Quantile(0.5)
 		if highPct <= lowPct {
 			t.Errorf("%v: %%-wait medians do not separate: low %v high %v", k, lowPct, highPct)
 		}
 	}
 
-	th := Calibrate(samples)
+	th := cal.Thresholds
 	if err := th.Validate(); err != nil {
 		t.Fatalf("calibrated thresholds invalid: %v", err)
 	}
-	for _, k := range []resource.Kind{resource.CPU, resource.DiskIO} {
+	for _, k := range calibrationKinds {
 		if th.WaitLowMs[k] >= th.WaitHighMs[k] {
 			t.Errorf("%v: calibrated low %v not below high %v", k, th.WaitLowMs[k], th.WaitHighMs[k])
 		}
@@ -220,19 +223,23 @@ func TestFigure6SeparationAndCalibration(t *testing.T) {
 }
 
 func TestCalibrateKeepsDefaultsWithoutSamples(t *testing.T) {
-	th := Calibrate(nil)
-	def := Calibrate([]WaitSample{})
-	if th != def {
-		t.Error("calibration without samples should be deterministic")
+	def := estimator.DefaultThresholds()
+	if th := CalibrateDigests(nil); th != def {
+		t.Error("calibration without digests should keep the defaults")
 	}
-	if err := th.Validate(); err != nil {
+	if th := CalibrateDigests(newCalibrationDigests(0)); th != def {
+		t.Error("calibration over empty digests should keep the defaults")
+	}
+	if th := streamCalibration(t, 0, 4, 1).Thresholds; th != def {
+		t.Error("a zero-config calibration run should keep the defaults")
+	}
+	if err := def.Validate(); err != nil {
 		t.Errorf("default calibration invalid: %v", err)
 	}
 }
 
 func TestArchetypeBreakdown(t *testing.T) {
-	f := GenerateFleet(300, 5, 13)
-	br := ArchetypeBreakdown(f, cat)
+	br := streamFleet(t, 300, 5, 13).Aggregate.ArchetypeChangesPerDay()
 	if len(br) < 4 {
 		t.Fatalf("breakdown covers %d archetypes", len(br))
 	}
@@ -247,51 +254,22 @@ func TestArchetypeBreakdown(t *testing.T) {
 	if br[Spiky] < 1.5*br[Steady] {
 		t.Errorf("spiky (%v) should clearly exceed steady (%v)", br[Spiky], br[Steady])
 	}
-	if got := ArchetypeBreakdown(nil, cat); len(got) != 0 {
+	if got := NewAggregate(0).ArchetypeChangesPerDay(); len(got) != 0 {
 		t.Errorf("empty fleet breakdown = %v", got)
 	}
 }
 
-func TestParallelFleetBitIdentical(t *testing.T) {
-	// Worker count must never change what the fleet paths produce: tenant
-	// RNGs are derived per index (exec.SplitSeed) and analysis aggregation
-	// is serial in index order.
-	ctx := context.Background()
-	serialFleet, err := GenerateFleetContext(ctx, 30, 2, 42, exec.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parFleet, err := GenerateFleetContext(ctx, 30, 2, 42, exec.Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serialFleet, parFleet) {
-		t.Fatal("parallel fleet generation differs from serial")
-	}
-	serialA, err := AnalyzeContext(ctx, serialFleet, cat, exec.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parA, err := AnalyzeContext(ctx, serialFleet, cat, exec.Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serialA, parA) {
-		t.Error("parallel analysis differs from serial")
-	}
-	if !reflect.DeepEqual(serialA, Analyze(serialFleet, cat)) {
-		t.Error("Analyze wrapper differs from AnalyzeContext")
-	}
-}
-
+// TestFleetContextCancellation checks a canceled context aborts a
+// calibration run with the context error (TestStreamContextCancel covers
+// Stream).
 func TestFleetContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := GenerateFleetContext(ctx, 10, 1, 1, exec.Options{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("GenerateFleetContext: err = %v, want context.Canceled", err)
+	spec, err := NewCalibrationSpec(64, 2, 1, WithShardSize(4))
+	if err != nil {
+		t.Fatal(err)
 	}
-	f := GenerateFleet(4, 1, 1)
-	if _, err := AnalyzeContext(ctx, f, cat, exec.Options{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("AnalyzeContext: err = %v, want context.Canceled", err)
+	if _, err := StreamCalibration(ctx, spec, nil); !errors.Is(err, context.Canceled) {
+		t.Errorf("StreamCalibration: err = %v, want context.Canceled", err)
 	}
 }

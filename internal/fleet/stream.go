@@ -11,13 +11,12 @@ import (
 	"daasscale/internal/resource"
 )
 
-// This file is the streaming fleet API — the replacement for the
-// slice-materializing GenerateFleet/Analyze pipeline. A run is described by
-// a FleetSpec (functional options, mirroring sim.Runner), executed by
-// Stream, and observed through a visitor: tenants are generated, assigned
-// containers, reduced to change events and folded into per-shard Aggregates
-// shard by shard, so peak memory is bounded by the shard size regardless of
-// fleet size. Shard aggregates merge in shard-index order via
+// This file is the streaming fleet API. A run is described by a FleetSpec
+// (functional options, mirroring sim.Runner), executed by Stream, and
+// observed through a visitor: tenants are generated, assigned containers,
+// reduced to change events and folded into per-shard Aggregates shard by
+// shard, so peak memory is bounded by the shard size regardless of fleet
+// size. Shard aggregates merge in shard-index order via
 // exec.StreamOrdered, which together with integer-counter aggregate state
 // makes the final Analysis bit-identical at any worker count and any
 // checkpoint/resume split.
@@ -174,9 +173,8 @@ type ShardResult struct {
 
 // StreamResult is the outcome of a streaming fleet run.
 type StreamResult struct {
-	// Analysis is the Section 2.2 study, identical to the deprecated
-	// Analyze on the same (seed, tenants, days) except for sketch-resolution
-	// IEICDF.
+	// Analysis is the Section 2.2 study. Every field comes from exact
+	// counters except IEICDF, which is at sketch resolution.
 	Analysis Analysis
 	// Aggregate is the merged fleet-wide aggregate, for callers that want
 	// quantiles beyond what Analysis carries.
@@ -189,12 +187,13 @@ type StreamResult struct {
 }
 
 // Stream runs the fleet study shard by shard. Each shard generates its
-// tenants from per-tenant SplitSeed RNG streams (bit-identical to
-// GenerateFleet), folds them into a shard Aggregate while reusing one
-// demand/assignment/event buffer set across the whole shard, and discards
-// them. Shards execute in parallel but merge — and visit, when visit is
-// non-nil — in shard-index order, so the merged result is deterministic at
-// any worker count. visit may return an error to abort the run.
+// tenants from per-tenant SplitSeed RNG streams, so a tenant's series
+// depends only on (seed, tenant ID). It folds them into a shard Aggregate,
+// reusing one demand/assignment/event buffer set across the whole shard,
+// and discards them. Shards execute in parallel but merge — and visit,
+// when visit is non-nil — in shard-index order, so the merged result is
+// deterministic at any worker count. visit may return an error to abort
+// the run.
 func Stream(ctx context.Context, spec FleetSpec, visit func(ShardResult) error) (StreamResult, error) {
 	o := spec.opts
 	if o.shardSize <= 0 {
@@ -287,7 +286,8 @@ func resumeAggregate(spec FleetSpec, total *Aggregate, shards int) (start, resum
 	if spec.opts.checkpoint == "" {
 		return 0, 0, nil
 	}
-	next, payload, ok, err := readCheckpoint(spec.opts.fs, spec.opts.checkpoint, spec.fingerprint())
+	fp := spec.fingerprint()
+	next, payload, ok, err := readCheckpoint(spec.opts.fs, spec.opts.checkpoint, fp)
 	if err != nil || !ok {
 		return 0, 0, err
 	}
@@ -295,6 +295,9 @@ func resumeAggregate(spec FleetSpec, total *Aggregate, shards int) (start, resum
 		return 0, 0, fmt.Errorf("fleet: checkpoint %s claims %d shards done of %d", spec.opts.checkpoint, next, shards)
 	}
 	if err := total.UnmarshalBinary(payload); err != nil {
+		return 0, 0, err
+	}
+	if err := checkAccuracy(spec.opts.checkpoint, fp, total.alpha); err != nil {
 		return 0, 0, err
 	}
 	return next, next, nil

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"testing"
 
-	"daasscale/internal/exec"
 	"daasscale/internal/resource"
 )
 
@@ -67,7 +66,7 @@ func TestNewFleetSpecValidation(t *testing.T) {
 }
 
 // TestStreamMatchesAnalyzeOracle checks the streaming pipeline against the
-// deprecated in-memory path on a 1k fleet: every Analysis field derived
+// in-memory analyze oracle on a 1k fleet: every Analysis field derived
 // from integer counters must be bit-identical, and the sketch-resolution
 // IEI quantiles must be within the sketch accuracy of the exact sample
 // quantiles.
@@ -75,7 +74,8 @@ func TestStreamMatchesAnalyzeOracle(t *testing.T) {
 	const tenants, days, seed = 1000, 2, 4242
 	cat := resource.DefaultCatalog()
 
-	oracle := Analyze(GenerateFleet(tenants, days, seed), cat)
+	fleet := generateFleet(tenants, days, seed)
+	oracle := analyze(fleet, cat)
 	res, err := Stream(context.Background(), mustFleetSpec(t, tenants, days, seed, WithShardSize(128)), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -110,9 +110,8 @@ func TestStreamMatchesAnalyzeOracle(t *testing.T) {
 	// The IEI sketch quantiles vs the exact inter-event intervals,
 	// recomputed here from the oracle fleet.
 	var iei []float64
-	fleet := GenerateFleet(tenants, days, seed)
 	for i := range fleet {
-		events := ChangeEvents(AssignContainers(&fleet[i], cat))
+		events := tenantEvents(&fleet[i], cat)
 		for j := 1; j < len(events); j++ {
 			iei = append(iei, float64(events[j].Interval-events[j-1].Interval)*5)
 		}
@@ -260,22 +259,24 @@ func TestStreamCalibrationBitIdentical(t *testing.T) {
 }
 
 // TestWaitDigestMatchesExactCalibrate feeds the identical sample stream to
-// the deprecated exact pipeline and to WaitDigests, and checks the
+// the exact calibrate oracle and to WaitDigests, and checks the
 // sketch-derived thresholds stay within the documented error bound of the
 // exact ones, with correlation exactly equal while the reservoir holds
 // every sample.
 func TestWaitDigestMatchesExactCalibrate(t *testing.T) {
-	samples, err := CollectWaitSamples(120, 3, 77)
+	samples, err := collectWaitSamples(120, 3, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
 	digests := newCalibrationDigests(0)
 	for _, s := range samples {
 		for _, d := range digests {
-			d.ObserveSample(s)
+			if d.Kind() == s.kind {
+				d.Observe(s.utilization, s.waitMs, s.waitPct)
+			}
 		}
 	}
-	exact := Calibrate(samples)
+	exact := calibrate(samples)
 	approx := CalibrateDigests(digests)
 	for _, d := range digests {
 		k := d.Kind()
@@ -297,7 +298,7 @@ func TestWaitDigestMatchesExactCalibrate(t *testing.T) {
 			}
 		}
 
-		exactCorr, err := Correlation(samples, k)
+		exactCorr, err := correlation(samples, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +310,7 @@ func TestWaitDigestMatchesExactCalibrate(t *testing.T) {
 			t.Errorf("kind %v: digest correlation %v != exact %v (reservoir holds all samples)", k, gotCorr, exactCorr)
 		}
 
-		exactSep := SplitByUtilization(samples, k).Separation()
+		exactSep := splitByUtilization(samples, k).separation()
 		gotSep := d.Separation()
 		if relDiff(gotSep, exactSep) > 3*alpha {
 			t.Errorf("kind %v: digest separation %v vs exact %v", k, gotSep, exactSep)
@@ -413,8 +414,8 @@ func TestAggregateBinaryRoundTrip(t *testing.T) {
 }
 
 // TestArchetypeRatesOrdering sanity-checks the streaming per-archetype
-// rates: spiky tenants must change containers far more often than steady
-// ones, mirroring the deprecated ArchetypeBreakdown's shape.
+// rates on a larger fleet: every archetype is present, and spiky tenants
+// change containers more often than steady ones.
 func TestArchetypeRatesOrdering(t *testing.T) {
 	res, err := Stream(context.Background(), mustFleetSpec(t, 1000, 2, 8, WithShardSize(200)), nil)
 	if err != nil {
@@ -426,19 +427,5 @@ func TestArchetypeRatesOrdering(t *testing.T) {
 	}
 	if rates[Spiky] <= rates[Steady] {
 		t.Errorf("spiky rate %v should exceed steady rate %v", rates[Spiky], rates[Steady])
-	}
-}
-
-// TestDeprecatedWrappersStillExact pins that the deprecated entry points
-// remain the exact oracle: GenerateFleet through the buffer-reusing
-// internals must equal a direct per-tenant generation.
-func TestDeprecatedWrappersStillExact(t *testing.T) {
-	f1 := GenerateFleet(50, 2, 123)
-	f2, err := GenerateFleetContext(context.Background(), 50, 2, 123, exec.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(f1, f2) {
-		t.Error("GenerateFleet and GenerateFleetContext disagree")
 	}
 }

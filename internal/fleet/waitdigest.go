@@ -18,12 +18,11 @@ import (
 // is identical for any shard size and worker count.
 const corrReservoirCap = 4096
 
-// WaitDigest is the streaming, mergeable replacement for the
-// WaitSample-slice pipeline (SplitByUtilization → Separation/Correlation →
-// Calibrate): one digest per resource kind accumulates the Figure 6
-// low/high-utilization wait distributions as quantile sketches, plus a
-// bounded reservoir for Figure 4's rank correlation, in O(bins) memory
-// regardless of how many intervals were observed.
+// WaitDigest is the streaming, mergeable summary behind Figures 4 and 6
+// and the Section 4.1 calibration: one digest per resource kind
+// accumulates the low/high-utilization wait distributions as quantile
+// sketches, plus a bounded reservoir for Figure 4's rank correlation, in
+// O(bins) memory regardless of how many intervals were observed.
 type WaitDigest struct {
 	kind  resource.Kind
 	alpha float64
@@ -69,7 +68,7 @@ func (d *WaitDigest) HighPct() *stats.Sketch { return d.highPct }
 
 // Observe folds one (utilization, wait) interval observation into the
 // digest. Mid-band utilization (30%–70%) contributes to the correlation
-// reservoir but to neither wait distribution, matching SplitByUtilization.
+// reservoir but to neither wait distribution.
 func (d *WaitDigest) Observe(utilization, waitMs, waitPct float64) {
 	switch {
 	case utilization < 0.30:
@@ -84,14 +83,6 @@ func (d *WaitDigest) Observe(utilization, waitMs, waitPct float64) {
 		d.corrWait = append(d.corrWait, waitMs)
 	}
 	d.corrSeen++
-}
-
-// ObserveSample folds a WaitSample of the digest's kind; samples for other
-// kinds are ignored, so a mixed stream can be fanned to several digests.
-func (d *WaitDigest) ObserveSample(s WaitSample) {
-	if s.Kind == d.kind {
-		d.Observe(s.Utilization, s.WaitMs, s.WaitPct)
-	}
 }
 
 // Merge folds o into d. Sketch merges are exact; the correlation reservoir
@@ -128,10 +119,12 @@ func (d *WaitDigest) Merge(o *WaitDigest) error {
 	return nil
 }
 
-// Separation is the streaming form of WaitDistributions.Separation: the
-// ratio of the high-utilization distribution's 75th percentile to the
-// low-utilization distribution's 90th percentile, denominator floored at
-// one second per interval.
+// Separation quantifies how far apart the low- and high-utilization wait
+// distributions are: the ratio of the high distribution's 75th percentile
+// to the low distribution's 90th percentile (>1 means separated; the
+// paper's Figure 6 shows orders of magnitude). Idle tenants often have
+// exactly zero waits, so the denominator is floored at one second per
+// interval.
 func (d *WaitDigest) Separation() float64 {
 	lo := d.lowMs.Quantile(0.90)
 	hi := d.highMs.Quantile(0.75)
@@ -141,23 +134,25 @@ func (d *WaitDigest) Separation() float64 {
 	return hi / lo
 }
 
-// Correlation is the streaming form of the package-level Correlation:
-// Spearman's ρ between utilization and wait magnitude over the retained
-// reservoir (the first corrReservoirCap observations).
+// Correlation is Spearman's ρ between utilization and wait magnitude over
+// the retained reservoir (the first corrReservoirCap observations) —
+// Figure 4's "increasing trend with a wide band": positive but far from 1.
 func (d *WaitDigest) Correlation() (float64, error) {
 	var sc stats.SpearmanScratch
 	return stats.SpearmanBuf(d.corrUtil, d.corrWait, &sc)
 }
 
-// Calibrate derives the Section 4.1 threshold pair from the digest: the
-// LOW threshold from the low-utilization distribution's 90th percentile,
-// the HIGH threshold from the high-utilization distribution's 10th
-// percentile, both clamped to the operating range used by the exact
-// Calibrate. ok is false when either band has fewer than 30 observations;
-// callers should then keep defaults. Each quantile is within the sketch's
-// relative accuracy of the exact sample quantile, so the thresholds are
-// within that bound of Calibrate's (before clamping, which only shrinks
-// the gap).
+// Calibrate derives the Section 4.1 threshold pair from the digest. The
+// LOW threshold comes from the low-utilization distribution's 90th
+// percentile: waits below it are unremarkable even for idle tenants. The
+// HIGH threshold comes from the lower edge (10th percentile) of the
+// high-utilization distribution, which is bimodal — stable stints with
+// modest waits and saturated stints whose waits grow without bound — so
+// the threshold sits at the boundary between the modes, not at the
+// saturation-dominated upper percentiles. Both are clamped to a sane
+// operating range. ok is false when either band has fewer than 30
+// observations; callers should then keep defaults. Each quantile is within
+// the sketch's relative accuracy of the exact sample quantile.
 func (d *WaitDigest) Calibrate() (low, high float64, ok bool) {
 	if d.LowCount() < 30 || d.HighCount() < 30 {
 		return 0, 0, false
@@ -167,9 +162,9 @@ func (d *WaitDigest) Calibrate() (low, high float64, ok bool) {
 	return low, high, true
 }
 
-// CalibrateDigests assembles estimator thresholds from per-kind digests,
-// the streaming counterpart of Calibrate([]WaitSample). Kinds without a
-// digest — or without enough observations — keep the defaults.
+// CalibrateDigests assembles estimator thresholds from per-kind digests.
+// Kinds without a digest — or without enough observations — keep the
+// defaults.
 func CalibrateDigests(digests []*WaitDigest) estimator.Thresholds {
 	th := estimator.DefaultThresholds()
 	for _, d := range digests {
@@ -244,6 +239,9 @@ func (d *WaitDigest) UnmarshalBinary(data []byte) error {
 		s := new(stats.Sketch)
 		if err := s.UnmarshalBinary(raw); err != nil {
 			return err
+		}
+		if i > 0 && s.Accuracy() != sketches[0].Accuracy() {
+			return fmt.Errorf("fleet: wait digest mixes sketch accuracies %v and %v", sketches[0].Accuracy(), s.Accuracy())
 		}
 		sketches[i] = s
 	}

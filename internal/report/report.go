@@ -119,25 +119,9 @@ func FleetSummary(w io.Writer, a fleet.Analysis) {
 	fmt.Fprintln(w)
 }
 
-// WaitDistributionTable writes the Figure 6 percentile view for one
-// resource: wait magnitudes and percentage waits at low vs high
-// utilization.
-func WaitDistributionTable(w io.Writer, d fleet.WaitDistributions) {
-	fmt.Fprintf(w, "wait distributions for %s (low util <30%%: %d samples, high util >70%%: %d samples)\n",
-		d.Kind, len(d.LowUtilWaitMs), len(d.HighUtilWaitMs))
-	fmt.Fprintf(w, "  %-12s %12s %12s\n", "percentile", "low-util ms", "high-util ms")
-	for _, q := range []float64{0.5, 0.75, 0.9, 0.95} {
-		fmt.Fprintf(w, "  p%-11.0f %12.0f %12.0f\n", q*100,
-			stats.Quantile(d.LowUtilWaitMs, q), stats.Quantile(d.HighUtilWaitMs, q))
-	}
-	fmt.Fprintf(w, "  separation (high p75 / low p90): %.1fx\n", d.Separation())
-	fmt.Fprintf(w, "  %%-wait medians: low %.0f%%, high %.0f%%\n",
-		stats.Median(d.LowUtilWaitPct)*100, stats.Median(d.HighUtilWaitPct)*100)
-}
-
-// WaitDigestTable is the streaming counterpart of WaitDistributionTable:
-// the same Figure 6 percentile view, read from a fleet.WaitDigest's
-// sketches instead of sample slices.
+// WaitDigestTable writes the Figure 6 percentile view for one resource,
+// read from a fleet.WaitDigest's sketches: wait magnitudes and percentage
+// waits at low vs high utilization.
 func WaitDigestTable(w io.Writer, d *fleet.WaitDigest) {
 	fmt.Fprintf(w, "wait distributions for %s (low util <30%%: %d samples, high util >70%%: %d samples)\n",
 		d.Kind(), d.LowCount(), d.HighCount())

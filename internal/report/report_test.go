@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -83,10 +84,16 @@ func TestDrilldownNaNPerformance(t *testing.T) {
 }
 
 func TestFleetSummary(t *testing.T) {
-	f := fleet.GenerateFleet(30, 3, 1)
-	a := fleet.Analyze(f, resource.LockStepCatalog())
+	spec, err := fleet.NewFleetSpec(30, 3, 1, fleet.WithCatalog(resource.LockStepCatalog()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fleet.Stream(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	FleetSummary(&buf, a)
+	FleetSummary(&buf, res.Analysis)
 	out := buf.String()
 	for _, want := range []string{"fleet analysis", "IEI within 60 min", "1-step resizes", "histogram"} {
 		if !strings.Contains(out, want) {
@@ -95,18 +102,21 @@ func TestFleetSummary(t *testing.T) {
 	}
 }
 
-func TestWaitDistributionTable(t *testing.T) {
-	d := fleet.WaitDistributions{
-		LowUtilWaitMs:   []float64{10, 20, 30},
-		HighUtilWaitMs:  []float64{1000, 2000, 4000},
-		LowUtilWaitPct:  []float64{0.1, 0.2, 0.1},
-		HighUtilWaitPct: []float64{0.7, 0.8, 0.9},
+func TestWaitDigestTable(t *testing.T) {
+	d := fleet.NewWaitDigest(resource.CPU, 0)
+	for _, o := range []struct{ util, ms, pct float64 }{
+		{0.1, 10, 0.1}, {0.1, 20, 0.2}, {0.1, 30, 0.1},
+		{0.9, 1000, 0.7}, {0.9, 2000, 0.8}, {0.9, 4000, 0.9},
+	} {
+		d.Observe(o.util, o.ms, o.pct)
 	}
 	var buf bytes.Buffer
-	WaitDistributionTable(&buf, d)
+	WaitDigestTable(&buf, d)
 	out := buf.String()
-	if !strings.Contains(out, "separation") || !strings.Contains(out, "p75") {
-		t.Errorf("distribution table missing content:\n%s", out)
+	for _, want := range []string{"wait distributions for cpu", "3 samples", "p75", "separation", "%-wait medians"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("distribution table missing %q:\n%s", want, out)
+		}
 	}
 }
 

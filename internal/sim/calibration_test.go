@@ -17,15 +17,20 @@ func TestCalibratedThresholdsEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
 	}
-	samples, err := fleet.CollectWaitSamples(150, 4, 42)
+	ctx := context.Background()
+	spec, err := fleet.NewCalibrationSpec(150, 4, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	th := fleet.Calibrate(samples)
+	cal, err := fleet.StreamCalibration(ctx, spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := cal.Thresholds
 	if err := th.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	comp, err := NewRunner().RunComparison(context.Background(), ComparisonSpec{
+	comp, err := NewRunner().RunComparison(ctx, ComparisonSpec{
 		Workload:   workload.CPUIO(workload.DefaultCPUIOConfig()),
 		Trace:      trace.Trace2(900, 2),
 		GoalFactor: 1.25,

@@ -31,7 +31,7 @@ type ComparisonSpec struct {
 	// Sensitivity for Auto (default MEDIUM).
 	Sensitivity estimator.Sensitivity
 	// Thresholds for Auto's demand estimator (zero value → defaults; pass
-	// fleet.Calibrate's output to use fleet-calibrated thresholds).
+	// fleet.StreamCalibration's Thresholds to use fleet-calibrated ones).
 	Thresholds estimator.Thresholds
 	// AutoBudget optionally constrains Auto (nil → unlimited, the paper's
 	// default for these experiments).

@@ -372,7 +372,9 @@ func (r *Runner) RunMultiTenant(ctx context.Context, spec MultiTenantSpec) (Mult
 	return runMultiTenant(ctx, spec, r.newPool(), r.phaseLabels)
 }
 
-// execMapPool is exec.Map over an existing pool.
+// execMapPool fans task out across pool and collects the results in index
+// order — the parallel equivalent of a deterministic serial loop. Exactly
+// one result slot is allocated per task.
 func execMapPool[T any](ctx context.Context, pool *exec.Pool, n int, task func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := pool.Run(ctx, n, func(ctx context.Context, i int) error {

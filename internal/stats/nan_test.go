@@ -23,8 +23,8 @@ func TestQuantileNaNQ(t *testing.T) {
 	if got := QuantileSorted([]float64{1, 2, 3}, nan); !math.IsNaN(got) {
 		t.Errorf("QuantileSorted(xs, NaN) = %v, want NaN", got)
 	}
-	if got := QuantileReference(xs, nan); !math.IsNaN(got) {
-		t.Errorf("QuantileReference(xs, NaN) = %v, want NaN", got)
+	if got := quantileReference(xs, nan); !math.IsNaN(got) {
+		t.Errorf("quantileReference(xs, NaN) = %v, want NaN", got)
 	}
 	// Empty input stays NaN too, on every path.
 	if got := QuantileSelect(nil, nan); !math.IsNaN(got) {
@@ -54,7 +54,7 @@ func TestQuantileNaNValuesNoPanic(t *testing.T) {
 		for _, q := range []float64{0, 0.25, 0.5, 0.95, 1, math.NaN()} {
 			Quantile(xs, q)
 			QuantileSelect(append([]float64(nil), xs...), q)
-			QuantileReference(xs, q)
+			quantileReference(xs, q)
 		}
 		Median(xs)
 		MedianInPlace(append([]float64(nil), xs...))
@@ -82,7 +82,7 @@ func TestQuantileSelectNaNQBitIdenticalToReference(t *testing.T) {
 			q = 1
 		}
 		got := QuantileSelect(append([]float64(nil), xs...), q)
-		want := QuantileReference(xs, q)
+		want := quantileReference(xs, q)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("trial %d: QuantileSelect(xs, %v) = %v, reference %v", trial, q, got, want)
 		}

@@ -30,7 +30,7 @@ func TestQuantileSelectMatchesQuantileProperty(t *testing.T) {
 		q := float64(q16) / math.MaxUint16
 		own := append([]float64(nil), xs...)
 		got := QuantileSelect(own, q)
-		want := QuantileReference(xs, q)
+		want := quantileReference(xs, q)
 		return got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -43,7 +43,7 @@ func TestQuantileSelectAdversarial(t *testing.T) {
 		for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 1} {
 			own := append([]float64(nil), xs...)
 			got := QuantileSelect(own, q)
-			want := QuantileReference(xs, q)
+			want := quantileReference(xs, q)
 			if got != want {
 				t.Errorf("QuantileSelect(%v, %v) = %v, want %v", xs, q, got, want)
 			}
@@ -124,7 +124,7 @@ func TestMedianInPlaceMatchesMedian(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := cleanSeries(raw, 1)
 		own := append([]float64(nil), xs...)
-		return MedianInPlace(own) == MedianReference(xs)
+		return MedianInPlace(own) == medianReference(xs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -147,7 +147,7 @@ func TestTheilSenBufMatchesTheilSenProperty(t *testing.T) {
 		for i := range xs {
 			xs[i] = float64(i)
 		}
-		want, errWant := TheilSenReference(xs, ys, alpha)
+		want, errWant := theilSenReference(xs, ys, alpha)
 		got, errGot := TheilSenBuf(xs, ys, alpha, &buf)
 		if (errWant == nil) != (errGot == nil) {
 			return false
@@ -178,7 +178,7 @@ func TestTheilSenBufAdversarial(t *testing.T) {
 			if len(xs) != len(ys) {
 				continue
 			}
-			want, errWant := TheilSenReference(xs, ys, DefaultTrendAlpha)
+			want, errWant := theilSenReference(xs, ys, DefaultTrendAlpha)
 			got, errGot := TheilSenBuf(xs, ys, DefaultTrendAlpha, &buf)
 			if (errWant == nil) != (errGot == nil) {
 				t.Fatalf("error mismatch for ys=%v: %v vs %v", ys, errWant, errGot)
@@ -214,7 +214,7 @@ func TestSpearmanBufMatchesSpearmanProperty(t *testing.T) {
 			xs[i] = math.Floor(rng.NormFloat64() * 4) // coarse → frequent ties
 			ys[i] = math.Floor(rng.NormFloat64() * 4)
 		}
-		want, errWant := SpearmanReference(xs, ys)
+		want, errWant := spearmanReference(xs, ys)
 		got, errGot := SpearmanBuf(xs, ys, &sc)
 		if (errWant == nil) != (errGot == nil) {
 			t.Fatalf("error mismatch: %v vs %v", errWant, errGot)
@@ -235,7 +235,7 @@ func TestSpearmanBufAdversarial(t *testing.T) {
 		for i := range xs {
 			xs[i] = float64(i % 4) // tied x ranks
 		}
-		want, _ := SpearmanReference(xs, ys)
+		want, _ := spearmanReference(xs, ys)
 		got, err := SpearmanBuf(xs, ys, &sc)
 		if err != nil {
 			t.Fatal(err)
@@ -250,7 +250,7 @@ func TestRanksIntoMatchesSortSliceReference(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := cleanSeries(raw, 1)
 		got := Ranks(xs)
-		want := RanksReference(xs)
+		want := ranksReference(xs)
 		for i := range want {
 			if got[i] != want[i] {
 				return false

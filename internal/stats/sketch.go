@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -358,39 +359,73 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary decodes a sketch encoded by MarshalBinary, replacing s's
-// state entirely.
+// state entirely. It accepts only bytes MarshalBinary can produce: an
+// accuracy in (0, 1), bin keys strictly ascending, no empty bin, and a
+// count equal to the sum of the zero, overflow and bin counts — so a
+// successful decode re-encodes to the same bytes. On error s is left
+// unchanged.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
 	r := binReader{buf: data}
 	if magic := r.u32(); magic != sketchMagic {
 		return fmt.Errorf("stats: bad sketch encoding magic %#x", magic)
 	}
 	alpha := r.f64()
-	if alpha <= 0 || alpha >= 1 {
+	if !(alpha > 0 && alpha < 1) { // also refuses NaN
 		return fmt.Errorf("stats: bad sketch accuracy %v", alpha)
 	}
-	*s = *NewSketch(alpha)
-	s.count = r.u64()
-	s.nans = r.u64()
-	s.zero = r.u64()
-	s.posInf = r.u64()
-	s.negInf = r.u64()
-	s.min = r.f64()
-	s.max = r.f64()
-	readBins := func(m map[int32]uint64) {
-		n := int(r.u32())
-		for i := 0; i < n && r.err == nil; i++ {
-			k := int32(r.u32())
-			m[k] = r.u64()
-		}
+	d := NewSketch(alpha)
+	d.count = r.u64()
+	d.nans = r.u64()
+	d.zero = r.u64()
+	d.posInf = r.u64()
+	d.negInf = r.u64()
+	d.min = r.f64()
+	d.max = r.f64()
+	var sum, overflow uint64
+	add := func(c uint64) {
+		var carry uint64
+		sum, carry = bits.Add64(sum, c, 0)
+		overflow |= carry
 	}
-	readBins(s.pos)
-	readBins(s.neg)
+	add(d.zero)
+	add(d.posInf)
+	add(d.negInf)
+	readBins := func(m map[int32]uint64) error {
+		n := r.u32()
+		var last int32
+		for i := uint32(0); i < n; i++ {
+			k, c := int32(r.u32()), r.u64()
+			if r.err != nil {
+				return nil // reported as a truncation below
+			}
+			if i > 0 && k <= last {
+				return fmt.Errorf("stats: sketch bin key %d follows %d", k, last)
+			}
+			if c == 0 {
+				return fmt.Errorf("stats: sketch bin %d is empty", k)
+			}
+			m[k] = c
+			add(c)
+			last = k
+		}
+		return nil
+	}
+	if err := readBins(d.pos); err != nil {
+		return err
+	}
+	if err := readBins(d.neg); err != nil {
+		return err
+	}
 	if r.err != nil {
 		return fmt.Errorf("stats: truncated sketch encoding: %w", r.err)
 	}
 	if len(r.buf) != r.off {
 		return fmt.Errorf("stats: %d trailing bytes after sketch", len(r.buf)-r.off)
 	}
+	if overflow != 0 || sum != d.count {
+		return fmt.Errorf("stats: sketch count %d does not match its buckets", d.count)
+	}
+	*s = *d
 	return nil
 }
 

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
@@ -58,9 +59,9 @@ func TestSketchQuantileErrorBound(t *testing.T) {
 			if got := s.Count(); got != uint64(n) {
 				t.Fatalf("%s: count = %d, want %d", name, got, n)
 			}
-			// Extremes are exact: QuantileReference is the pre-optimization
+			// Extremes are exact: quantileReference is the pre-optimization
 			// oracle shared with the selection kernels.
-			if s.Min() != QuantileReference(xs, 0) || s.Max() != QuantileReference(xs, 1) {
+			if s.Min() != quantileReference(xs, 0) || s.Max() != quantileReference(xs, 1) {
 				t.Fatalf("%s: extremes not exact: [%v,%v]", name, s.Min(), s.Max())
 			}
 			for _, q := range quantiles {
@@ -79,7 +80,7 @@ func TestSketchQuantileErrorBound(t *testing.T) {
 }
 
 // TestSketchVsQuantileSelectOracle pins the sketch against the exact
-// interpolated quantile path (QuantileSelect / QuantileReference): the
+// interpolated quantile path (QuantileSelect / quantileReference): the
 // sketch answer must lie within relative accuracy of the interval spanned
 // by the two order statistics the exact path interpolates between.
 func TestSketchVsQuantileSelectOracle(t *testing.T) {
@@ -95,8 +96,8 @@ func TestSketchVsQuantileSelectOracle(t *testing.T) {
 		for _, q := range []float64{0.1, 0.5, 0.9, 0.95} {
 			scratch := append([]float64(nil), xs...)
 			exact := QuantileSelect(scratch, q)
-			if ref := QuantileReference(xs, q); exact != ref {
-				t.Fatalf("oracle drift: QuantileSelect %v vs QuantileReference %v", exact, ref)
+			if ref := quantileReference(xs, q); exact != ref {
+				t.Fatalf("oracle drift: QuantileSelect %v vs quantileReference %v", exact, ref)
 			}
 			lo := orderStatistic(xs, int(math.Floor(q*float64(n-1))))
 			hi := orderStatistic(xs, int(math.Ceil(q*float64(n-1))))
@@ -164,7 +165,7 @@ func TestSketchInfinitiesAndZeros(t *testing.T) {
 	}
 }
 
-func sketchBytes(t *testing.T, s *Sketch) []byte {
+func sketchBytes(t testing.TB, s *Sketch) []byte {
 	t.Helper()
 	b, err := s.MarshalBinary()
 	if err != nil {
@@ -297,6 +298,107 @@ func TestSketchBinaryRoundTrip(t *testing.T) {
 	if err := new(Sketch).UnmarshalBinary(bad); err == nil {
 		t.Error("bad magic accepted")
 	}
+}
+
+// rawSketch is a sketch's wire fields, for hand-building encodings that
+// MarshalBinary never produces.
+type rawSketch struct {
+	alpha                             float64
+	count, nans, zero, posInf, negInf uint64
+	min, max                          float64
+	pos, neg                          [][2]uint64 // (key as uint32, count)
+}
+
+func (r rawSketch) encode() []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, sketchMagic)
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.alpha))
+	for _, v := range []uint64{r.count, r.nans, r.zero, r.posInf, r.negInf, math.Float64bits(r.min), math.Float64bits(r.max)} {
+		buf = binary.LittleEndian.AppendUint64(buf, v)
+	}
+	for _, bins := range [][][2]uint64{r.pos, r.neg} {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(bins)))
+		for _, b := range bins {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(b[0]))
+			buf = binary.LittleEndian.AppendUint64(buf, b[1])
+		}
+	}
+	return buf
+}
+
+// TestSketchDecodeRefusesNonCanonical: UnmarshalBinary accepts only bytes
+// MarshalBinary can produce. A NaN accuracy used to decode (and poison
+// every quantile), and a repeated bin key used to decode with the last
+// count winning, so count no longer matched the bins and re-encoding gave
+// different bytes.
+func TestSketchDecodeRefusesNonCanonical(t *testing.T) {
+	valid := rawSketch{
+		alpha: 0.01, count: 5, nans: 1, zero: 1, posInf: 1, min: 0, max: math.Inf(1),
+		pos: [][2]uint64{{10, 1}, {20, 1}}, neg: [][2]uint64{{3, 1}},
+	}
+	enc := valid.encode()
+	var s Sketch
+	if err := s.UnmarshalBinary(enc); err != nil {
+		t.Fatalf("valid encoding refused: %v", err)
+	}
+	if !bytes.Equal(sketchBytes(t, &s), enc) {
+		t.Fatal("valid encoding does not re-encode to itself")
+	}
+	negKey := uint64(uint32(math.MaxUint32)) // key -1
+	for name, mutate := range map[string]func(r *rawSketch){
+		"NaN accuracy":       func(r *rawSketch) { r.alpha = math.NaN() },
+		"zero accuracy":      func(r *rawSketch) { r.alpha = 0 },
+		"accuracy one":       func(r *rawSketch) { r.alpha = 1 },
+		"negative accuracy":  func(r *rawSketch) { r.alpha = -0.01 },
+		"repeated key":       func(r *rawSketch) { r.pos = [][2]uint64{{10, 1}, {10, 1}} },
+		"descending keys":    func(r *rawSketch) { r.pos = [][2]uint64{{20, 1}, {10, 1}} },
+		"descending neg key": func(r *rawSketch) { r.neg = [][2]uint64{{3, 1}, {negKey, 1}}; r.count = 6 },
+		"empty bin":          func(r *rawSketch) { r.pos = [][2]uint64{{10, 2}, {20, 0}} },
+		"count too high":     func(r *rawSketch) { r.count = 6 },
+		"count too low":      func(r *rawSketch) { r.count = 4 },
+		"count wraps":        func(r *rawSketch) { r.posInf = math.MaxUint64 - 3; r.count = 0 },
+	} {
+		r := valid
+		mutate(&r)
+		if err := new(Sketch).UnmarshalBinary(r.encode()); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+	// A refused decode leaves the receiver alone.
+	bad := valid
+	bad.count = 6
+	if err := s.UnmarshalBinary(bad.encode()); err == nil || !bytes.Equal(sketchBytes(t, &s), enc) {
+		t.Errorf("refused decode (err %v) changed the sketch", err)
+	}
+}
+
+// FuzzDecodeSketch holds the sketch decoder to its contract: no input
+// panics, and any input that decodes re-encodes to the same bytes.
+func FuzzDecodeSketch(f *testing.F) {
+	rng := rand.New(rand.NewSource(29))
+	for _, alpha := range []float64{0.01, 0.05} {
+		s := NewSketch(alpha)
+		f.Add(sketchBytes(f, s))
+		for i := 0; i < 50; i++ {
+			s.Add(rng.NormFloat64() * 1e3)
+		}
+		s.Add(0)
+		s.Add(math.Inf(-1))
+		s.Add(math.NaN())
+		f.Add(sketchBytes(f, s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Sketch
+		if err := s.UnmarshalBinary(data); err != nil {
+			return
+		}
+		got, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("sketch re-encodes to different bytes\nin  %x\nout %x", data, got)
+		}
+	})
 }
 
 func TestSketchCDFApprox(t *testing.T) {

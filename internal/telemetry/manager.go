@@ -256,8 +256,7 @@ func (m *Manager) metaAt(i int) *snapMeta {
 }
 
 // quality sums the window's per-snapshot accounting into the Quality that
-// ships with the signals. Pure over the retained meta ring, so the fast
-// path and SignalsReference agree bit for bit.
+// ships with the signals. Pure over the retained meta ring.
 func (m *Manager) quality(n int) Quality {
 	q := Quality{IntervalsSeen: n}
 	for i := 0; i < n; i++ {
@@ -331,9 +330,9 @@ func (m *Manager) AppendSnapshots(dst []Snapshot) []Snapshot {
 //
 // After the scratch arenas warm up (one call at the current window length),
 // the computation allocates nothing; the result is also cached, so repeat
-// calls between observations are O(1). Bit-for-bit it equals
-// SignalsReference — the pre-optimization implementation retained as the
-// equivalence oracle.
+// calls between observations are O(1). Bit for bit it equals the
+// pre-optimization sort-based implementation, whose recorded output the
+// telemetry tests pin as sha256 goldens.
 func (m *Manager) Signals() (Signals, bool) {
 	n := len(m.ring)
 	if n < MinIntervalsForSignals {
@@ -429,81 +428,4 @@ func (m *Manager) computeSignals(n int) Signals {
 		sig.LogicalWaitPct[wc] = m.medianColumn(n, func(s *Snapshot) float64 { return s.WaitPct(wc) })
 	}
 	return sig
-}
-
-// SignalsReference recomputes the signals with the pre-optimization
-// allocating implementation (fresh slices, sort-based medians, unbuffered
-// Theil–Sen and Spearman). It exists as the equivalence oracle for the
-// zero-allocation fast path: property tests and the fleet benchmark assert
-// Signals() == SignalsReference() bit for bit. It is never cached.
-func (m *Manager) SignalsReference() (Signals, bool) {
-	snaps := m.AppendSnapshots(nil)
-	n := len(snaps)
-	if n < MinIntervalsForSignals {
-		return Signals{}, false
-	}
-	xs := make([]float64, n) // interval indices as the trend x-axis
-	avgLat := make([]float64, n)
-	p95Lat := make([]float64, n)
-	offered := make([]float64, n)
-	physReads := make([]float64, n)
-	for i, s := range snaps {
-		xs[i] = float64(s.Interval)
-		avgLat[i] = s.AvgLatencyMs
-		p95Lat[i] = s.P95LatencyMs
-		offered[i] = s.OfferedRPS
-		physReads[i] = s.PhysicalReads
-	}
-	var sig Signals
-	sig.Window = n
-	sig.Quality = m.quality(n)
-	sig.Current = snaps[n-1]
-	sig.MemoryUsedMB = sig.Current.MemoryUsedMB
-	sig.OfferedRPS = stats.MedianReference(offered)
-	sig.PhysicalReadsMedian = stats.MedianReference(physReads)
-	sig.Latency.AvgMs = stats.MedianReference(avgLat)
-	sig.Latency.P95Ms = stats.MedianReference(p95Lat)
-	sig.Latency.PrevAvgMs = avgLat[n-2]
-	sig.Latency.PrevP95Ms = p95Lat[n-2]
-	if tr, err := stats.TheilSenReference(xs, p95Lat, m.alpha); err == nil {
-		sig.Latency.Trend = tr
-	}
-
-	for _, k := range resource.Kinds {
-		wc := WaitClassFor(k)
-		util := make([]float64, n)
-		wait := make([]float64, n)
-		pct := make([]float64, n)
-		for i, s := range snaps {
-			util[i] = s.Utilization[k]
-			wait[i] = s.WaitMs[wc]
-			pct[i] = s.WaitPct(wc)
-		}
-		rs := ResourceSignals{
-			Utilization:     stats.MedianReference(util),
-			WaitMs:          stats.MedianReference(wait),
-			WaitPct:         stats.MedianReference(pct),
-			PrevWaitMs:      wait[n-2],
-			PrevUtilization: util[n-2],
-		}
-		if tr, err := stats.TheilSenReference(xs, util, m.alpha); err == nil {
-			rs.UtilTrend = tr
-		}
-		if tr, err := stats.TheilSenReference(xs, wait, m.alpha); err == nil {
-			rs.WaitTrend = tr
-		}
-		if rho, err := stats.SpearmanReference(wait, p95Lat); err == nil {
-			rs.WaitLatencyCorr = rho
-		}
-		sig.Resources[k] = rs
-	}
-
-	for _, wc := range []WaitClass{WaitLock, WaitLatch, WaitSystem} {
-		pct := make([]float64, n)
-		for i, s := range snaps {
-			pct[i] = s.WaitPct(wc)
-		}
-		sig.LogicalWaitPct[wc] = stats.MedianReference(pct)
-	}
-	return sig, true
 }

@@ -234,10 +234,11 @@ func TestManagerGapCappedAtWindow(t *testing.T) {
 }
 
 // TestManagerSanitizesCorruptStream feeds hand-corrupted snapshots (NaN,
-// Inf, negative counters) and asserts the signals stay finite and
-// bit-identical to the reference implementation, with the quality counters
+// Inf, negative counters) and asserts the signals stay finite and match the
+// reference implementation's recorded output, with the quality counters
 // reflecting the repairs.
 func TestManagerSanitizesCorruptStream(t *testing.T) {
+	d := newSignalsDigest()
 	rng := rand.New(rand.NewSource(5))
 	m := NewManager(DefaultWindow)
 	sanitized := 0
@@ -255,15 +256,9 @@ func TestManagerSanitizesCorruptStream(t *testing.T) {
 		m.Observe(s)
 
 		got, ok := m.Signals()
-		want, okRef := m.SignalsReference()
-		if ok != okRef {
-			t.Fatalf("interval %d: ok mismatch", i)
-		}
+		d.add(got, ok)
 		if !ok {
 			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("interval %d: fast path diverged from reference on corrupt stream", i)
 		}
 		if math.IsNaN(got.Latency.AvgMs) || math.IsInf(got.Latency.AvgMs, 0) {
 			t.Fatalf("interval %d: AvgMs not finite: %v", i, got.Latency.AvgMs)
@@ -273,6 +268,9 @@ func TestManagerSanitizesCorruptStream(t *testing.T) {
 				t.Fatalf("interval %d: resource WaitMs not finite", i)
 			}
 		}
+	}
+	if h := d.sum(); h != goldenSignalsCorrupt {
+		t.Errorf("Signals over the corrupt stream hash to %s, want %s", h, goldenSignalsCorrupt)
 	}
 	// Window 10 with corruption every 4th interval (pattern 2+0+1+0 per 4):
 	// quality must be dirty but not pristine.

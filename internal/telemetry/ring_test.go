@@ -1,6 +1,10 @@
 package telemetry
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"hash"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -37,11 +41,65 @@ func randomSnapshot(rng *rand.Rand, interval int) Snapshot {
 	return s
 }
 
-// TestSignalsMatchReference is the equivalence property of the tentpole:
-// the zero-allocation ring-buffer fast path must be bit-identical to the
-// retained pre-optimization implementation on random windows of every
-// length, before and after the ring wraps.
+// dumpExact writes every field of v in declaration order, floats as exact
+// hex, so a hash over the dump changes with any bit of any field. %+v would
+// not do: Quality's String method hides its counters.
+func dumpExact(w io.Writer, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Float64:
+		fmt.Fprintf(w, "%x ", v.Float())
+	case reflect.Int:
+		fmt.Fprintf(w, "%d ", v.Int())
+	case reflect.Bool:
+		fmt.Fprintf(w, "%t ", v.Bool())
+	case reflect.String:
+		fmt.Fprintf(w, "%q ", v.String())
+	case reflect.Slice, reflect.Array:
+		fmt.Fprintf(w, "[%d ", v.Len())
+		for i := 0; i < v.Len(); i++ {
+			dumpExact(w, v.Index(i))
+		}
+		io.WriteString(w, "] ")
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			dumpExact(w, v.Field(i))
+		}
+	default:
+		panic("dumpExact: unhandled kind " + v.Kind().String())
+	}
+}
+
+// signalsDigest hashes one decision point after another: the ok flag and,
+// when ok, the whole Signals.
+type signalsDigest struct{ h hash.Hash }
+
+func newSignalsDigest() signalsDigest { return signalsDigest{sha256.New()} }
+
+func (d signalsDigest) add(sig Signals, ok bool) {
+	dumpExact(d.h, reflect.ValueOf(ok))
+	if ok {
+		dumpExact(d.h, reflect.ValueOf(sig))
+	}
+}
+
+func (d signalsDigest) sum() string { return fmt.Sprintf("%x", d.h.Sum(nil)) }
+
+// goldenSignalsRandom and goldenSignalsCorrupt pin every Signals the
+// streams of TestSignalsMatchReference and TestManagerSanitizesCorruptStream
+// produce. They were printed by a run that also asserted each of those
+// Signals bit-identical to the sort-based reference implementation (fresh
+// slices, copy-and-sort medians, unbuffered Theil–Sen and Spearman), which
+// then left the tree; the constants are that oracle's output.
+const (
+	goldenSignalsRandom  = "75932d71d6bf29c00c0d7868ee2aa64acf06cbcd3e8e070573a300f3985f66e6"
+	goldenSignalsCorrupt = "4d302614b26ac67853dc6613aa669c4557e0c092fb365d46ab7c4af565b60ee8"
+)
+
+// TestSignalsMatchReference holds the zero-allocation ring-buffer path to
+// the reference implementation's recorded output on random windows of
+// every length, before and after the ring wraps.
 func TestSignalsMatchReference(t *testing.T) {
+	d := newSignalsDigest()
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 50; trial++ {
 		window := MinIntervalsForSignals + rng.Intn(12)
@@ -49,19 +107,11 @@ func TestSignalsMatchReference(t *testing.T) {
 		feed := window*2 + rng.Intn(window) // wraps the ring at least once
 		for i := 0; i < feed; i++ {
 			m.Observe(randomSnapshot(rng, i))
-			got, okGot := m.Signals()
-			want, okWant := m.SignalsReference()
-			if okGot != okWant {
-				t.Fatalf("trial %d interval %d: ok mismatch %v vs %v", trial, i, okGot, okWant)
-			}
-			if !okGot {
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d interval %d (window %d): fast path diverged\n got %+v\nwant %+v",
-					trial, i, window, got, want)
-			}
+			d.add(m.Signals())
 		}
+	}
+	if got := d.sum(); got != goldenSignalsRandom {
+		t.Errorf("Signals over the random streams hash to %s, want %s", got, goldenSignalsRandom)
 	}
 }
 
