@@ -68,8 +68,8 @@ bench-fleet:
 		-benchtime 1x -benchmem .
 
 # Profile the cluster hot path: one 1k-tenant run with per-phase pprof
-# labels ("ticks+decide" vs "apply"), CPU and heap profiles written to
-# cluster_cpu.pprof / cluster_heap.pprof for `go tool pprof`.
+# labels ("ticks+decide", "apply", "finalize"), CPU and heap profiles
+# written to cluster_cpu.pprof / cluster_heap.pprof for `go tool pprof`.
 profile:
 	$(GO) run ./cmd/daas-profile -tenants 1000 -intervals 12 -workers 8 \
 		-labels -cpuprofile cluster_cpu.pprof -memprofile cluster_heap.pprof

@@ -1,9 +1,11 @@
 // Command daas-profile is the cluster hot-path profiling harness: it runs
 // a synthetic multi-tenant cluster (1000 tenants by default) and writes CPU
 // and heap pprof profiles for it. The cluster runner labels its phases
-// (`phase=ticks+decide`, `phase=apply`) via runtime/pprof when -labels is
-// on, so `go tool pprof -tagfocus` can attribute samples to the parallel
-// tick/decide fan-out versus the serial fabric-apply section.
+// (`phase=ticks+decide`, `phase=apply`, `phase=finalize`) via runtime/pprof
+// when -labels is on, so `go tool pprof -tagfocus` can attribute samples to
+// the parallel tick/decide fan-out, the serial fabric-apply section and the
+// parallel run-level finalisation. The tag value is a regular expression:
+// focus the first phase with `-tagfocus 'phase=ticks\+decide'`.
 //
 // Typical use (the `make profile` target):
 //

@@ -406,7 +406,7 @@ func (e *Engine) EndInterval() telemetry.Snapshot {
 		s.AvgLatencyMs = sum / float64(len(a.latSamples))
 		// The sample array is reset right after this, so the selection's
 		// in-place permutation is dead state: no copy, no sort, and the
-		// unordered variant's cheaper partition scheme applies.
+		// unordered variant's sampled bracket and Hoare partition apply.
 		s.P95LatencyMs = stats.QuantileSelectUnordered(a.latSamples, 0.95)
 	}
 	// Keep the interval's per-class wait totals so the raw per-wait-type

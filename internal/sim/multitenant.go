@@ -372,10 +372,11 @@ func runMultiTenant(ctx context.Context, spec MultiTenantSpec, pool *exec.Pool, 
 
 	// The pprof label sets are built once per run: pprof.Do itself
 	// allocates per call, which is why labelling is opt-in at all.
-	var ticksLabels, applyLabels pprof.LabelSet
+	var ticksLabels, applyLabels, finalizeLabels pprof.LabelSet
 	if labels {
 		ticksLabels = pprof.Labels("phase", "ticks+decide")
 		applyLabels = pprof.Labels("phase", "apply")
+		finalizeLabels = pprof.Labels("phase", "finalize")
 	}
 
 	for m := 0; m < intervals; m++ {
@@ -390,15 +391,10 @@ func runMultiTenant(ctx context.Context, spec MultiTenantSpec, pool *exec.Pool, 
 			if m >= st.spec.Trace.Len() {
 				target = 0 // this tenant's trace ended; it idles
 			}
-			run := func() {
+			inPhase(ctx, labels, ticksLabels, func() {
 				st.lp.RunTicks(target)
 				st.lp.Decide(m)
-			}
-			if labels {
-				pprof.Do(ctx, ticksLabels, func(context.Context) { run() })
-			} else {
-				run()
-			}
+			})
 			return nil
 		})
 		if err != nil {
@@ -415,13 +411,7 @@ func runMultiTenant(ctx context.Context, spec MultiTenantSpec, pool *exec.Pool, 
 			}
 			return nil
 		}
-		if labels {
-			var applyErr error
-			pprof.Do(ctx, applyLabels, func(context.Context) { applyErr = apply() })
-			err = applyErr
-		} else {
-			err = apply()
-		}
+		inPhase(ctx, labels, applyLabels, func() { err = apply() })
 		if err != nil {
 			return MultiTenantResult{}, err
 		}
@@ -453,8 +443,20 @@ func runMultiTenant(ctx context.Context, spec MultiTenantSpec, pool *exec.Pool, 
 			return MultiTenantResult{}, fmt.Errorf("sim: interval %d: %w", m, err)
 		}
 	}
-	for _, st := range states {
-		tot := st.lp.Finalize(intervals)
+	// Finalisation fans out too: a tenant's totals read only its own loop
+	// (samples, injector, actuator) and land in tenant order. The workers
+	// start inside the pool's Run, so they inherit the phase label.
+	var totals []loop.Totals
+	inPhase(ctx, labels, finalizeLabels, func() {
+		totals, err = execMapPool(ctx, pool, len(states), func(_ context.Context, i int) (loop.Totals, error) {
+			return states[i].lp.Finalize(intervals), nil
+		})
+	})
+	if err != nil {
+		return MultiTenantResult{}, fmt.Errorf("sim: cluster finalize: %w", err)
+	}
+	for i, st := range states {
+		tot := totals[i]
 		st.res.TotalCost = tot.TotalCost
 		st.res.AvgCostPerInterval = tot.AvgCostPerInterval
 		st.res.P95Ms = tot.P95Ms
@@ -504,6 +506,15 @@ func (st *tenantState) stepMigration(interval int, fab *fabric.Fabric) error {
 		st.res.RebalanceMigrations++
 		return nil
 	})
+}
+
+// inPhase runs f, under the pprof label set when labels is on.
+func inPhase(ctx context.Context, labels bool, set pprof.LabelSet, f func()) {
+	if labels {
+		pprof.Do(ctx, set, func(context.Context) { f() })
+		return
+	}
+	f()
 }
 
 // rebalanceCluster plans goal-preserving moves against the fabric's

@@ -2,11 +2,13 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
 	"daasscale/internal/engine"
 	"daasscale/internal/fabric"
+	"daasscale/internal/loop"
 	"daasscale/internal/trace"
 	"daasscale/internal/workload"
 )
@@ -110,4 +112,44 @@ func TestMultiTenantDeterminism(t *testing.T) {
 	// The shorter trace idles out: tenant b's engine keeps running at zero
 	// offered load without breaking anything (implicitly asserted by the
 	// equality above and the absence of errors).
+}
+
+// cancelOnRecord cancels its context when the record for tenant at
+// interval arrives.
+type cancelOnRecord struct {
+	tenant   string
+	interval int
+	cancel   context.CancelFunc
+}
+
+func (c cancelOnRecord) Record(r loop.DecisionRecord) {
+	if r.Tenant == c.tenant && r.Interval == c.interval {
+		c.cancel()
+	}
+}
+
+// TestMultiTenantFinalizeCanceled cancels the run after every interval
+// has been applied, just before finalisation: the run must still report
+// the cancellation rather than a result, at any worker count.
+func TestMultiTenantFinalizeCanceled(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		spec := MultiTenantSpec{
+			Tenants: []TenantSpec{
+				{ID: "a", Workload: workload.DS2(), Trace: trace.Trace1(12, 1), GoalMs: 60, Seed: 1},
+				{ID: "b", Workload: workload.TPCC(), Trace: trace.Trace4(12, 2), GoalMs: 200, Seed: 2},
+				{ID: "c", Workload: workload.DS2(), Trace: trace.Trace2(12, 3), GoalMs: 80, Seed: 3},
+			},
+			Servers:  2,
+			Recorder: cancelOnRecord{tenant: "c", interval: 11, cancel: cancel},
+		}
+		res, err := NewRunner(WithParallelism(workers)).RunMultiTenant(ctx, spec)
+		cancel()
+		if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: err = %v, want ErrCanceled wrapping context.Canceled", workers, err)
+		}
+		if !reflect.DeepEqual(res, MultiTenantResult{}) {
+			t.Errorf("workers=%d: canceled run returned a result: %+v", workers, res)
+		}
+	}
 }

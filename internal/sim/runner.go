@@ -111,8 +111,9 @@ func WithActuation(cfg actuate.Config) Option {
 }
 
 // WithPhaseLabels annotates the cluster runner's phases with runtime/pprof
-// labels (`phase=ticks+decide`, `phase=apply`) so CPU profiles can
-// attribute samples per phase (`go tool pprof -tagfocus phase=apply`).
+// labels (`phase=ticks+decide`, `phase=apply`, `phase=finalize`) so CPU
+// profiles can attribute samples per phase (`go tool pprof -tagfocus
+// phase=apply`).
 // Off by default: pprof.Do allocates on every call, which the hot path
 // must not pay when nobody is profiling.
 func WithPhaseLabels() Option {

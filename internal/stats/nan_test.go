@@ -43,6 +43,9 @@ func TestQuantileNaNValuesNoPanic(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(20)
+		if trial%8 == 0 {
+			n = sampledSelectMin + rng.Intn(2000) // the sampled bracket's NaN-pivot fallback
+		}
 		xs := make([]float64, n)
 		for i := range xs {
 			if rng.Intn(3) == 0 {
@@ -54,6 +57,7 @@ func TestQuantileNaNValuesNoPanic(t *testing.T) {
 		for _, q := range []float64{0, 0.25, 0.5, 0.95, 1, math.NaN()} {
 			Quantile(xs, q)
 			QuantileSelect(append([]float64(nil), xs...), q)
+			QuantileSelectUnordered(append([]float64(nil), xs...), q)
 			quantileReference(xs, q)
 		}
 		Median(xs)

@@ -77,14 +77,15 @@ func QuantileSelect(xs []float64, q float64) float64 {
 // leaves xs in an unspecified order, which frees it to partition with the
 // Hoare scheme: Hoare swaps only wrong-sided pairs, where the Lomuto scheme
 // in selectKth swaps every element below the pivot — for a high quantile
-// such as P95 that is nearly the whole range on the first pass. Callers
-// whose slice is dead or reset after the call (the engine's per-interval
-// P95) use this; callers whose later arithmetic consumes the slice in its
-// post-selection order (run-level Finalize, which sums for the mean after
-// selecting) must keep QuantileSelect, whose permutation is deterministic.
-// The returned value is algorithm-independent: which elements are the k-th
-// and (k+1)-th order statistics of a multiset does not depend on how they
-// are selected.
+// such as P95 that is nearly the whole range on the first pass. From
+// sampledSelectMin elements on, a sampled bracket (bracketOrderStat) first
+// narrows the Hoare select to about a tenth of xs. Callers whose slice is
+// dead or reset after the call (the engine's per-interval P95) use this;
+// callers whose later arithmetic consumes the slice in its post-selection
+// order (run-level Finalize, which sums for the mean after selecting) must
+// keep QuantileSelect, whose permutation is deterministic. The returned
+// value is algorithm-independent: which elements are the k-th and (k+1)-th
+// order statistics of a multiset does not depend on how they are selected.
 func QuantileSelectUnordered(xs []float64, q float64) float64 {
 	n := len(xs)
 	if n == 0 || math.IsNaN(q) {
@@ -96,20 +97,86 @@ func QuantileSelectUnordered(xs []float64, q float64) float64 {
 	pos := q * float64(n-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
+	frac := pos - float64(lo)
+	hiVal := math.Inf(1) // the smallest value beyond xs, once narrowed
+	if n >= sampledSelectMin {
+		var below int
+		xs, below, hiVal = bracketOrderStat(xs, lo)
+		lo, hi = lo-below, hi-below
+	}
 	selectKthHoare(xs, lo)
 	if lo == hi {
 		return xs[lo]
 	}
 	// hi == lo+1: after selection everything right of lo is ≥ xs[lo], so
-	// the next order statistic is the minimum of that suffix.
-	hiVal := xs[hi]
-	for _, v := range xs[hi+1:] {
+	// the next order statistic is the minimum of that suffix and hiVal.
+	for _, v := range xs[hi:] {
 		if v < hiVal {
 			hiVal = v
 		}
 	}
-	frac := pos - float64(lo)
 	return xs[lo]*(1-frac) + hiVal*frac
+}
+
+const (
+	// sampledSelectMin is the length from which QuantileSelectUnordered
+	// brackets its rank; below it the sample costs more than it saves.
+	sampledSelectMin = 512
+	// selectSample is the bracket's sample size, held in a stack array.
+	selectSample = 128
+)
+
+// bracketOrderStat is Floyd–Rivest's sampled bracket without the RNG: a
+// strided sample of xs gives pivots a ~3σ margin either side of rank k, and
+// one pass counts the elements below the lower pivot, swap-compacts those
+// within [lower, upper] to the front and keeps the smallest one above. It
+// returns the candidates, how many elements rank below them and that
+// smallest value above (+Inf if none). A bracket that misses rank k, or a
+// NaN pivot, yields all of xs, below 0: the pass only permuted it.
+func bracketOrderStat(xs []float64, k int) (cand []float64, below int, above float64) {
+	n := len(xs)
+	var s [selectSample]float64
+	for j := range s {
+		s[j] = xs[j*n/selectSample]
+	}
+	// The sample rank of xs's k-th order statistic is binomial with mean r.
+	r := float64(k) * selectSample / float64(n)
+	d := 3*math.Sqrt(r*(1-r/selectSample)) + 1
+	a, b := int(math.Floor(r-d)), int(math.Ceil(r+d))
+	lower, upper := math.Inf(-1), math.Inf(1)
+	if a >= 0 {
+		selectKthHoare(s[:], a)
+		lower = s[a]
+	}
+	if b < selectSample {
+		selectKthHoare(s[:], b)
+		upper = s[b]
+	}
+	if math.IsNaN(lower) || math.IsNaN(upper) {
+		return xs, 0, math.Inf(1)
+	}
+	c, over := 0, 0
+	above = math.Inf(1)
+	for i, v := range xs {
+		if v > upper {
+			over++
+			above = min(above, v)
+			continue
+		}
+		// Branch-free on the lower side, which a high quantile's pass
+		// takes for most elements in an unpredictable order.
+		xs[i], xs[c] = xs[c], v
+		in := 1
+		if v < lower {
+			in = 0
+		}
+		c += in
+	}
+	below = n - over - c
+	if k < below || k >= below+c {
+		return xs, 0, math.Inf(1)
+	}
+	return xs[:c], below, above
 }
 
 // selectKthHoare is selectKth with Hoare partitioning: same postcondition

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -117,6 +118,137 @@ func TestQuantileSelectUnorderedMatches(t *testing.T) {
 	}
 	if !math.IsNaN(QuantileSelectUnordered(nil, 0.5)) {
 		t.Error("empty input must return NaN")
+	}
+}
+
+// engineShaped fills n latency samples the way the engine's tick kernel
+// draws them: runs of 24 lognormal samples around a per-tick base value.
+func engineShaped(rng *rand.Rand, n int) []float64 {
+	xs := make([]float64, n)
+	var base float64
+	for i := range xs {
+		if i%24 == 0 {
+			base = 20 * math.Exp(0.5*rng.NormFloat64())
+		}
+		xs[i] = base * math.Exp(0.3*rng.NormFloat64())
+	}
+	return xs
+}
+
+// TestQuantileSelectUnorderedSampled pins the sampled bracket at and above
+// sampledSelectMin: on the engine's sample shape, heavy ties, constant,
+// sorted and reversed runs, and a layout whose sample is all maxima (so
+// the bracket misses and the whole-slice fallback runs), every quantile
+// must equal QuantileSelect's bit for bit and the multiset must survive.
+func TestQuantileSelectUnorderedSampled(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for _, n := range []int{sampledSelectMin - 1, sampledSelectMin, 1440, 17280} {
+		ties := make([]float64, n)
+		equal := make([]float64, n)
+		sorted := engineShaped(rng, n)
+		sort.Float64s(sorted)
+		reversed := make([]float64, n)
+		missed := engineShaped(rng, n)
+		for i := range ties {
+			ties[i] = math.Floor(8 * rng.Float64())
+			equal[i] = 42.5
+			reversed[i] = sorted[n-1-i]
+		}
+		for j := 0; j < selectSample; j++ {
+			missed[j*n/selectSample] = 1e9
+		}
+		inputs := map[string][]float64{
+			"engine": engineShaped(rng, n), "ties": ties, "equal": equal,
+			"sorted": sorted, "reversed": reversed, "missed": missed,
+		}
+		for name, xs := range inputs {
+			for _, q := range []float64{0.05, 0.5, 0.95, 0.99} {
+				a := append([]float64(nil), xs...)
+				b := append([]float64(nil), xs...)
+				got, want := QuantileSelectUnordered(a, q), QuantileSelect(b, q)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s n=%d q=%v: got %v, want %v", name, n, q, got, want)
+				}
+				sort.Float64s(a)
+				sort.Float64s(b)
+				for i := range a {
+					if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+						t.Fatalf("%s n=%d q=%v: multiset changed at sorted index %d", name, n, q, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestQuantileSelectUnorderedBracketEdges builds, for every sample rank a
+// pivot could be drawn from, a layout whose sample holds the value of
+// global rank `rank` (next to the wanted one) at exactly that sample rank.
+// Some layout then puts a pivot on the wanted order statistic's edge: it is
+// the last candidate, the smallest value above the bracket, or just missed.
+func TestQuantileSelectUnorderedBracketEdges(t *testing.T) {
+	n := sampledSelectMin
+	sampled := make([]bool, n)
+	for j := 0; j < selectSample; j++ {
+		sampled[j*n/selectSample] = true
+	}
+	for _, q := range []float64{0.05, 0.5, 0.95} {
+		lo := int(q * float64(n-1))
+		for _, rank := range []int{lo - 1, lo, lo + 1, lo + 2} {
+			for below := 0; below < selectSample; below++ {
+				above := selectSample - below - 1
+				if below > rank || above > n-1-rank {
+					continue
+				}
+				// The sample takes ranks [0, below), rank and the top
+				// above ranks; the rest fill the other slots in reverse.
+				var sample, rest []float64
+				for r := 0; r < n; r++ {
+					if r < below || r == rank || r >= n-above {
+						sample = append(sample, float64(r))
+					} else {
+						rest = append(rest, float64(r))
+					}
+				}
+				xs := make([]float64, n)
+				for i := range xs {
+					if sampled[i] {
+						xs[i], sample = sample[0], sample[1:]
+					} else {
+						xs[i], rest = rest[len(rest)-1], rest[:len(rest)-1]
+					}
+				}
+				want := QuantileSelect(append([]float64(nil), xs...), q)
+				if got := QuantileSelectUnordered(xs, q); got != want {
+					t.Fatalf("q=%v rank=%d below=%d: got %v, want %v", q, rank, below, got, want)
+				}
+			}
+		}
+	}
+}
+
+// selectSink keeps the benchmarked selection from being optimised away.
+var selectSink float64
+
+// BenchmarkQuantileSelectUnordered times the engine's per-interval P95
+// (n = 1440) and a run-length buffer (n = 17280) on engine-shaped data. It
+// rotates through 256 distinct inputs: with one input repeated, the branch
+// predictor learns the array and the numbers flatter every kernel.
+func BenchmarkQuantileSelectUnordered(b *testing.B) {
+	for _, n := range []int{1440, 17280} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(n)))
+			inputs := make([][]float64, 256)
+			for i := range inputs {
+				inputs[i] = engineShaped(rng, n)
+			}
+			buf := make([]float64, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(buf, inputs[i%len(inputs)])
+				selectSink = QuantileSelectUnordered(buf, 0.95)
+			}
+		})
 	}
 }
 
@@ -310,10 +442,16 @@ func TestSelectKernelsZeroAllocWhenWarm(t *testing.T) {
 	if _, err := SpearmanBuf(xs, ys, &sc); err != nil {
 		t.Fatal(err)
 	}
+	// A warm engine-sized interval buffer: the sampled bracket's sample
+	// must stay on the stack.
+	interval := engineShaped(rand.New(rand.NewSource(1440)), 1440)
+	intervalScratch := make([]float64, len(interval))
 	allocs := testing.AllocsPerRun(100, func() {
 		copy(scratch, ys)
 		_ = MedianInPlace(scratch)
 		_ = QuantileSelect(scratch, 0.95)
+		copy(intervalScratch, interval)
+		_ = QuantileSelectUnordered(intervalScratch, 0.95)
 		if _, err := TheilSenBuf(xs, ys, DefaultTrendAlpha, &buf); err != nil {
 			t.Fatal(err)
 		}
