@@ -28,11 +28,12 @@ race:
 # allocations for a warm Manager.Signals decision point, for the warm
 # stats kernels and for the engine's per-call Tick (the *ZeroAlloc tests),
 # and hold the serving path to its counts (the *Allocs tests): a warm
-# ingest-body decode, one allocation per encoded ledger decision. Run
-# without -race (its instrumentation allocates).
+# ingest-body decode, one allocation per encoded ledger decision, one per
+# engine-less (serving) loop.New. Run without -race (its instrumentation
+# allocates).
 alloc-gate:
 	$(GO) test -run 'ZeroAlloc|Allocs' -count=1 ./internal/telemetry ./internal/stats ./internal/engine \
-		./internal/serve ./internal/ledger
+		./internal/serve ./internal/ledger ./internal/loop
 
 # The chaos gate: deterministic fault injection end to end — the
 # sim-level chaos and actuation suites (parallel/serial bit identity,

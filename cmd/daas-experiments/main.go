@@ -4,7 +4,7 @@
 //	Figure 2   — fleet change-event analysis (IEI CDF, changes/day),
 //	Figure 4   — wait magnitude vs utilization (correlation),
 //	Figure 6   — wait distributions at low/high utilization,
-//	Figure 8   — the four load traces,
+//	Figure 8   — the four load traces (CSV with -out),
 //	Figure 9   — CPUIO × Trace 2 at 1.25× and 5× goals,
 //	Figure 10  — TPC-C × Trace 4 at 1.25× goal,
 //	Figure 11  — CPUIO × Trace 3 at 5× goal,
@@ -23,6 +23,10 @@
 // policy's per-interval decision-audit stream (loop.DecisionRecord) and
 // prints its rule-level explanations after the comparison table.
 //
+// With -out DIR (created if missing) the four Figure 8 traces land in DIR
+// as trace1.csv … trace4.csv (minute, requests/sec), beside every policy's
+// per-interval series of Figures 9–12.
+//
 // With -faults R > 0 every simulation's telemetry channel runs under a
 // deterministic uniform fault plan (rate R spread over the fault kinds) —
 // the chaos-mode replication of the evaluation. Results stay reproducible
@@ -40,6 +44,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -72,7 +77,7 @@ func main() {
 	contention := flag.Bool("contention", false, "append the Section 7 cluster study: noisy-neighbor contention off vs on vs on+rebalance")
 	explain := flag.Bool("explain", false, "append Auto's decision-audit trail to every end-to-end comparison")
 	explainRows := flag.Int("explain-rows", 20, "maximum audit lines per -explain trail")
-	outDir := flag.String("out", "", "also write every policy's per-interval series as CSV files into this directory")
+	outDir := flag.String("out", "", "also write the four traces and every policy's per-interval series as CSV files into this directory (created if missing)")
 	markdownPath := flag.String("markdown", "", "also write the comparison tables as a markdown report to this file")
 	flag.Parse()
 
@@ -105,6 +110,13 @@ func main() {
 		runnerOpts = append(runnerOpts, sim.WithProgress(prog.Hook()))
 	}
 	runner := sim.NewRunner(runnerOpts...)
+
+	if *outDir != "" {
+		// Before the first experiment, so a bad path fails in milliseconds.
+		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+			log.Fatal(err)
+		}
+	}
 
 	var md *os.File
 	if *markdownPath != "" {
@@ -169,6 +181,11 @@ func main() {
 	traces := trace.Standard(*seed)
 	for _, tr := range traces {
 		report.ASCIIChart(out, fmt.Sprintf("%s (mean %.0f rps, peak %.0f rps)", tr.Name, tr.Mean(), tr.Peak()), tr.RPS, 72, 8)
+		if *outDir != "" {
+			if err := writeCSV(filepath.Join(*outDir, tr.Name+".csv"), tr.WriteCSV); err != nil {
+				log.Fatal(err)
+			}
+		}
 	}
 
 	// ---- End-to-end comparisons (Figures 9–12) ---------------------------
@@ -211,7 +228,8 @@ func main() {
 		if *outDir != "" {
 			for _, r := range comp.Results {
 				name := fmt.Sprintf("%s_%s_goal%.2fx_%s.csv", r.Workload, r.Trace, e.goalFactor, r.Policy)
-				if err := writeSeriesCSV(filepath.Join(*outDir, name), r.Series); err != nil {
+				write := func(w io.Writer) error { return report.SeriesCSV(w, r.Series) }
+				if err := writeCSV(filepath.Join(*outDir, name), write); err != nil {
 					log.Fatal(err)
 				}
 			}
@@ -356,13 +374,13 @@ func runContentionStudy(ctx context.Context, out *os.File, seed int64, workers i
 	}
 }
 
-// writeSeriesCSV dumps one run's per-interval series for external plotting.
-func writeSeriesCSV(path string, series []sim.IntervalPoint) error {
+// writeCSV creates path and fills it with write, for external plotting.
+func writeCSV(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := report.SeriesCSV(f, series); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return fmt.Errorf("writing %s: %w", path, err)
 	}

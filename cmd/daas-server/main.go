@@ -26,7 +26,7 @@
 //
 // Usage:
 //
-//	daas-server [-addr :8080] [-ledger-dir DIR] [-goal-ms G] [-seed S]
+//	daas-server [-addr :8080] [-ledger-dir DIR] [-goal-ms G]
 //	            [-reorder-window N] [-rate R] [-burst B] [-sync-every N]
 //	            [-max-tenants N] [-probe-interval D]
 //	            [-fault-kind eio|enospc|short|powercut|mix] [-fault-rate P]
@@ -55,7 +55,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	ledgerDir := flag.String("ledger-dir", "ledgers", "directory for per-tenant decision ledgers")
 	goalMs := flag.Float64("goal-ms", serve.DefaultGoalMs, "P95 latency goal handed to each tenant's auto-scaler")
-	seed := flag.Int64("seed", 42, "service seed; per-tenant streams derive from it deterministically")
 	reorderWindow := flag.Int("reorder-window", serve.DefaultReorderWindow, "max out-of-order snapshots buffered per tenant before gaps are decided as withheld")
 	rate := flag.Float64("rate", 0, "per-tenant ingest rate limit in snapshots/sec (0 = unlimited)")
 	burst := flag.Int("burst", serve.DefaultBurst, "rate-limiter bucket size")
@@ -88,7 +87,6 @@ func main() {
 	srv, err := serve.New(serve.Config{
 		LedgerDir:     *ledgerDir,
 		GoalMs:        *goalMs,
-		Seed:          *seed,
 		ReorderWindow: *reorderWindow,
 		RatePerSec:    *rate,
 		Burst:         *burst,

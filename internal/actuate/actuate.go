@@ -265,9 +265,8 @@ func New[T comparable](cfg Config, streamSeed int64, current T) *Actuator[T] {
 // Stats returns the actuation counters so far.
 func (a *Actuator[T]) Stats() Stats { return a.stats }
 
-// Desired and Actual expose the two sides of the reconciliation.
-func (a *Actuator[T]) Desired() T { return a.desired }
-func (a *Actuator[T]) Actual() T  { return a.actual }
+// Actual is the substrate state the actuator last saw applied.
+func (a *Actuator[T]) Actual() T { return a.actual }
 
 // Settled reports whether the actuator has nothing left to do: the actual
 // state matches the desired one and no operation is in flight.

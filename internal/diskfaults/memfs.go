@@ -27,11 +27,10 @@ import (
 // MemFS is goroutine-safe; one mutex covers the whole tree (the workloads
 // it serves are fsync-bound, not lock-bound).
 type MemFS struct {
-	mu      sync.Mutex
-	dirs    map[string]*memDir
-	tmpSeq  int
-	epoch   int
-	crashes int
+	mu     sync.Mutex
+	dirs   map[string]*memDir
+	tmpSeq int
+	epoch  int
 }
 
 // memNode is one file: live contents and the contents the last fsync made
@@ -71,7 +70,6 @@ func (m *MemFS) Crash() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.epoch++
-	m.crashes++
 	for _, d := range m.dirs {
 		d.live = make(map[string]*memNode, len(d.synced))
 		for name, n := range d.synced {
@@ -89,13 +87,6 @@ func (m *MemFS) Crash() {
 			}
 		}
 	}
-}
-
-// Crashes reports how many power cuts have been simulated.
-func (m *MemFS) Crashes() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.crashes
 }
 
 func notExist(op, name string) error {

@@ -58,9 +58,16 @@ func TestResetReleasesOversizedLatSamples(t *testing.T) {
 	}
 }
 
-// TestVisitLastIntervalWaitTypes: the zero-alloc visitor yields exactly
-// the map LastIntervalWaitTypes materializes — same types, bit-identical
-// values — and visits nothing before the first interval.
+// lastWaitTypes collects VisitLastIntervalWaitTypes' breakdown into a map.
+func lastWaitTypes(e *Engine) map[telemetry.WaitType]float64 {
+	out := map[telemetry.WaitType]float64{}
+	e.VisitLastIntervalWaitTypes(func(wt telemetry.WaitType, ms float64) { out[wt] += ms })
+	return out
+}
+
+// TestVisitLastIntervalWaitTypes: the visitor visits nothing before the
+// first interval, then each wait type once, in the same order on every
+// call, with a positive total that folds back through the classifier.
 func TestVisitLastIntervalWaitTypes(t *testing.T) {
 	e := mustEngine(t, workload.TPCC(), cat.AtStep(3), 13)
 	visits := 0
@@ -74,17 +81,21 @@ func TestVisitLastIntervalWaitTypes(t *testing.T) {
 	}
 	e.EndInterval()
 
-	want := e.LastIntervalWaitTypes()
-	got := map[telemetry.WaitType]float64{}
-	e.VisitLastIntervalWaitTypes(func(wt telemetry.WaitType, ms float64) { got[wt] += ms })
-	if len(got) != len(want) {
-		t.Fatalf("visitor produced %d types, map %d", len(got), len(want))
+	var order []telemetry.WaitType
+	e.VisitLastIntervalWaitTypes(func(wt telemetry.WaitType, _ float64) { order = append(order, wt) })
+	k := 0
+	e.VisitLastIntervalWaitTypes(func(wt telemetry.WaitType, _ float64) {
+		if k >= len(order) || order[k] != wt {
+			t.Fatalf("visit %d: %s, want the first call's order %v", k, wt, order)
+		}
+		k++
+	})
+	byType := lastWaitTypes(e)
+	if len(byType) != len(order) {
+		t.Fatalf("a wait type was visited twice: %d visits, %d types", len(order), len(byType))
 	}
 	var total float64
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("type %s: visitor %v != map %v", k, got[k], v)
-		}
+	for _, v := range byType {
 		total += v
 	}
 	if total <= 0 || math.IsNaN(total) {
@@ -92,7 +103,7 @@ func TestVisitLastIntervalWaitTypes(t *testing.T) {
 	}
 	// Folding the breakdown back through the classifier reproduces the
 	// snapshot's class totals (the estimator-facing contract).
-	agg := telemetry.AggregateWaitTypes(want)
+	agg := telemetry.AggregateWaitTypes(byType)
 	for cls, ms := range agg {
 		if ms < 0 {
 			t.Fatalf("class %d negative after aggregation: %v", cls, ms)

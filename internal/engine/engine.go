@@ -204,9 +204,8 @@ type Engine struct {
 
 	// lastWaitMs holds the per-class wait totals of the most recently
 	// completed interval. The per-wait-type breakdown a real DBMS would
-	// report is derived from it on demand (LastIntervalWaitTypes,
-	// VisitLastIntervalWaitTypes), so closing an interval allocates and
-	// fills no map.
+	// report is derived from it on demand (VisitLastIntervalWaitTypes), so
+	// closing an interval allocates and fills no map.
 	lastWaitMs [telemetry.NumWaitClasses]float64
 
 	acc intervalAccumulator
@@ -339,10 +338,6 @@ func (e *Engine) SheddedWork() (cpuMs, ioOps, logKB float64) {
 	return e.sheddedCPUms, e.sheddedIOOps, e.sheddedLogKB
 }
 
-// IntervalIndex returns the index of the billing interval being
-// accumulated.
-func (e *Engine) IntervalIndex() int { return e.intervalIndex }
-
 // TicksPerInterval returns the configured interval length in ticks.
 func (e *Engine) TicksPerInterval() int { return e.opts.TicksPerInterval }
 
@@ -411,7 +406,7 @@ func (e *Engine) EndInterval() telemetry.Snapshot {
 	}
 	// Keep the interval's per-class wait totals so the raw per-wait-type
 	// view a real DBMS reports (Section 3.1 of the paper) can be derived
-	// on demand — LastIntervalWaitTypes and VisitLastIntervalWaitTypes.
+	// on demand by VisitLastIntervalWaitTypes.
 	// Closing an interval used to clear and refill a 28-entry scratch map
 	// here for every tenant whether or not anyone read it; the cluster hot
 	// path now just copies this array.
@@ -422,23 +417,11 @@ func (e *Engine) EndInterval() telemetry.Snapshot {
 	return s
 }
 
-// LastIntervalWaitTypes returns the per-wait-type breakdown of the most
-// recently completed interval's waits — the raw-telemetry view a production
-// DBMS exposes. telemetry.AggregateWaitTypes folds it back into the classes
-// the snapshot carries. The map is freshly built per call; hot paths that
-// only need to fold or inspect the breakdown should use
-// VisitLastIntervalWaitTypes instead.
-func (e *Engine) LastIntervalWaitTypes() map[telemetry.WaitType]float64 {
-	out := make(map[telemetry.WaitType]float64, 32)
-	e.VisitLastIntervalWaitTypes(func(t telemetry.WaitType, ms float64) { out[t] += ms })
-	return out
-}
-
 // VisitLastIntervalWaitTypes calls fn once per wait type with that type's
-// share of the most recently completed interval's waits — the same
-// breakdown LastIntervalWaitTypes materializes, bit-identical values in
-// the same (deterministic catalog) order, with zero allocation. Before the
-// first EndInterval it visits nothing.
+// share of the most recently completed interval's waits — the raw-telemetry
+// view a production DBMS exposes, in deterministic catalog order, with zero
+// allocation. telemetry.AggregateWaitTypes folds it back into the classes
+// the snapshot carries. Before the first EndInterval it visits nothing.
 func (e *Engine) VisitLastIntervalWaitTypes(fn func(telemetry.WaitType, float64)) {
 	for _, class := range telemetry.WaitClasses {
 		telemetry.VisitClassWaits(class, e.lastWaitMs[class], fn)

@@ -240,7 +240,7 @@ func TestRawWaitTypesRoundTrip(t *testing.T) {
 		e.Tick(150)
 	}
 	snap := e.EndInterval()
-	byType := e.LastIntervalWaitTypes()
+	byType := lastWaitTypes(e)
 	if len(byType) == 0 {
 		t.Fatal("no raw wait types emitted")
 	}
@@ -259,11 +259,6 @@ func TestRawWaitTypesRoundTrip(t *testing.T) {
 	}
 	if lck == 0 {
 		t.Error("expected LCK_* wait types for TPC-C under load")
-	}
-	// The accessor must return a copy.
-	byType["LCK_M_X"] = -1
-	if e.LastIntervalWaitTypes()["LCK_M_X"] == -1 {
-		t.Error("LastIntervalWaitTypes must copy")
 	}
 }
 

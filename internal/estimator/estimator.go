@@ -18,8 +18,6 @@ type ResourceState struct {
 	PctSignificant bool
 	UtilRising     bool
 	WaitRising     bool
-	UtilFalling    bool
-	WaitFalling    bool
 	CorrBottleneck bool
 	// EffectiveUtilization and EffectiveWaitMs are the values the levels
 	// were computed from: the windowed median, or the two-interval
@@ -113,8 +111,6 @@ func (e *Estimator) classify(k resource.Kind, sig *telemetry.Signals) ResourceSt
 		PctSignificant:       effPct >= e.th.WaitPctSignificant,
 		UtilRising:           rs.UtilTrend.Significant && rs.UtilTrend.Slope > 0,
 		WaitRising:           rs.WaitTrend.Significant && rs.WaitTrend.Slope > 0,
-		UtilFalling:          rs.UtilTrend.Significant && rs.UtilTrend.Slope < 0,
-		WaitFalling:          rs.WaitTrend.Significant && rs.WaitTrend.Slope < 0,
 		CorrBottleneck:       rs.WaitLatencyCorr >= e.th.CorrSignificant,
 		EffectiveUtilization: effUtil,
 		EffectiveWaitMs:      effWait,

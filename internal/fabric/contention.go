@@ -197,9 +197,6 @@ func (f *Fabric) SetContention(c Contention) error {
 	return nil
 }
 
-// ContentionModel returns the installed model (zero value when none).
-func (f *Fabric) ContentionModel() Contention { return f.cont }
-
 // pressureOf computes the channel pressures for an allocation sum against
 // a capacity, under the fabric's resolved model (defaults when none was
 // installed — pressure is a useful report quantity even with the model

@@ -9,7 +9,6 @@ import (
 	"daasscale/internal/engine"
 	"daasscale/internal/estimator"
 	"daasscale/internal/exec"
-	"daasscale/internal/fsio"
 	"daasscale/internal/resource"
 	"daasscale/internal/telemetry"
 	"daasscale/internal/workload"
@@ -39,17 +38,7 @@ func NewCalibrationSpec(configs, intervalsPer int, seed int64, options ...FleetO
 	if intervalsPer <= 0 {
 		return CalibrationSpec{}, fmt.Errorf("%w: intervalsPer = %d", ErrInvalidSpec, intervalsPer)
 	}
-	o := streamOpts{shardSize: 16}
-	for _, opt := range options {
-		opt(&o)
-	}
-	if o.checkpointEvery <= 0 {
-		o.checkpointEvery = 8
-	}
-	if o.fs == nil {
-		o.fs = fsio.OS
-	}
-	return CalibrationSpec{Configs: configs, IntervalsPer: intervalsPer, Seed: seed, opts: o}, nil
+	return CalibrationSpec{Configs: configs, IntervalsPer: intervalsPer, Seed: seed, opts: buildOpts(16, options)}, nil
 }
 
 // Shards returns the number of shards the spec splits into.

@@ -14,6 +14,23 @@ import (
 	"daasscale/internal/stats"
 )
 
+// withAccuracy builds the quantile sketches at a non-default relative
+// accuracy, which a resumed run must match.
+func withAccuracy(alpha float64) FleetOption {
+	return func(o *streamOpts) { o.alpha = alpha }
+}
+
+// withCheckpointEvery writes a checkpoint every n shards instead of 8.
+func withCheckpointEvery(n int) FleetOption {
+	return func(o *streamOpts) { o.checkpointEvery = n }
+}
+
+// withCheckpointFS routes checkpoint reads and writes through fsys, the
+// crash-simulating filesystem of the crash-consistency tests.
+func withCheckpointFS(fsys fsio.FS) FleetOption {
+	return func(o *streamOpts) { o.fs = fsys }
+}
+
 // TestStreamKillAndResume is the checkpoint acceptance criterion: a run
 // killed mid-flight and resumed from its checkpoint produces an aggregate
 // byte-identical to an uninterrupted run.
@@ -36,7 +53,7 @@ func TestStreamKillAndResume(t *testing.T) {
 	// disk.
 	killed := errors.New("simulated kill")
 	spec := mustFleetSpec(t, tenants, days, seed,
-		WithShardSize(shard), WithCheckpoint(ckpt), WithCheckpointEvery(2))
+		WithShardSize(shard), WithCheckpoint(ckpt), withCheckpointEvery(2))
 	_, err = Stream(context.Background(), spec, func(sr ShardResult) error {
 		if sr.Index == 4 {
 			return killed
@@ -88,7 +105,7 @@ func TestStreamKillAndResume(t *testing.T) {
 }
 
 // TestCheckpointCrashDurable runs the kill-and-resume cycle on the
-// crash-simulating filesystem via WithCheckpointFS, with a simulated
+// crash-simulating filesystem via withCheckpointFS, with a simulated
 // power loss between the kill and the resume: because checkpoint writes
 // fsync before the rename and fsync the directory after, the crash image
 // must hold a complete checkpoint, and the resumed aggregate must be
@@ -113,8 +130,8 @@ func TestCheckpointCrashDurable(t *testing.T) {
 
 	killed := errors.New("simulated kill")
 	spec := mustFleetSpec(t, tenants, days, seed,
-		WithShardSize(shard), WithCheckpoint(ckpt), WithCheckpointEvery(2),
-		WithCheckpointFS(mem))
+		WithShardSize(shard), WithCheckpoint(ckpt), withCheckpointEvery(2),
+		withCheckpointFS(mem))
 	_, err = Stream(context.Background(), spec, func(sr ShardResult) error {
 		if sr.Index == 4 {
 			return killed
@@ -157,7 +174,7 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 		"tenants":   mustFleetSpec(t, 65, 1, 1, WithShardSize(32), WithCheckpoint(ckpt)),
 		"days":      mustFleetSpec(t, 64, 2, 1, WithShardSize(32), WithCheckpoint(ckpt)),
 		"shardSize": mustFleetSpec(t, 64, 1, 1, WithShardSize(16), WithCheckpoint(ckpt)),
-		"accuracy":  mustFleetSpec(t, 64, 1, 1, WithShardSize(32), WithAccuracy(0.05), WithCheckpoint(ckpt)),
+		"accuracy":  mustFleetSpec(t, 64, 1, 1, WithShardSize(32), withAccuracy(0.05), WithCheckpoint(ckpt)),
 	} {
 		if _, err := Stream(context.Background(), spec, nil); err == nil {
 			t.Errorf("%s mismatch: resume should fail", name)
@@ -243,7 +260,7 @@ func TestCalibrationKillAndResume(t *testing.T) {
 	}
 
 	killed := errors.New("simulated kill")
-	spec := mustSpec(WithShardSize(2), WithCheckpoint(ckpt), WithCheckpointEvery(1))
+	spec := mustSpec(WithShardSize(2), WithCheckpoint(ckpt), withCheckpointEvery(1))
 	if _, err := StreamCalibration(context.Background(), spec, func(cs CalibrationShard) error {
 		if cs.Index == 2 {
 			return killed

@@ -30,6 +30,8 @@ const DefaultShardSize = 1024
 var ErrInvalidSpec = errors.New("fleet: invalid spec")
 
 // streamOpts is the shared option bag for Stream and StreamCalibration.
+// alpha (0 = stats.DefaultSketchAccuracy), checkpointEvery and fs have no
+// option: only the package's tests set them.
 type streamOpts struct {
 	shardSize       int
 	workers         int
@@ -62,13 +64,6 @@ func WithParallelism(workers int) FleetOption {
 	return func(o *streamOpts) { o.workers = workers }
 }
 
-// WithAccuracy sets the relative accuracy of the quantile sketches
-// (non-positive selects stats.DefaultSketchAccuracy). Checkpoints embed the
-// accuracy, so a resumed run must use the same value.
-func WithAccuracy(alpha float64) FleetOption {
-	return func(o *streamOpts) { o.alpha = alpha }
-}
-
 // WithProgress installs a throughput-metrics hook, forwarded to the
 // underlying exec pool (tasks are shards, not tenants).
 func WithProgress(fn func(exec.Progress)) FleetOption {
@@ -89,25 +84,11 @@ func WithCheckpoint(path string) FleetOption {
 	return func(o *streamOpts) { o.checkpoint = path }
 }
 
-// WithCheckpointEvery sets the number of shards between checkpoint writes
-// (≤ 0 → every 8 shards). The final state is always written.
-func WithCheckpointEvery(shards int) FleetOption {
-	return func(o *streamOpts) { o.checkpointEvery = shards }
-}
-
-// WithCheckpointFS routes checkpoint reads and writes through fsys (nil
-// keeps fsio.OS, the real disk). The crash-consistency harness substitutes
-// a fault-injecting filesystem here; production never needs this.
-func WithCheckpointFS(fsys fsio.FS) FleetOption {
-	return func(o *streamOpts) {
-		if fsys != nil {
-			o.fs = fsys
-		}
-	}
-}
-
-func buildOpts(options []FleetOption) streamOpts {
-	o := streamOpts{shardSize: DefaultShardSize}
+// buildOpts applies options over the defaults: shardSize tenants or configs
+// per shard, sketches at stats.DefaultSketchAccuracy, a checkpoint every 8
+// shards on the real disk.
+func buildOpts(shardSize int, options []FleetOption) streamOpts {
+	o := streamOpts{shardSize: shardSize}
 	for _, opt := range options {
 		opt(&o)
 	}
@@ -137,7 +118,7 @@ func NewFleetSpec(tenants, days int, seed int64, options ...FleetOption) (FleetS
 	if days <= 0 {
 		return FleetSpec{}, fmt.Errorf("%w: days = %d", ErrInvalidSpec, days)
 	}
-	return FleetSpec{Tenants: tenants, Days: days, Seed: seed, opts: buildOpts(options)}, nil
+	return FleetSpec{Tenants: tenants, Days: days, Seed: seed, opts: buildOpts(DefaultShardSize, options)}, nil
 }
 
 // Shards returns the number of shards the spec splits into.

@@ -14,6 +14,7 @@ import (
 	"daasscale/internal/core"
 	"daasscale/internal/fabric"
 	"daasscale/internal/faults"
+	"daasscale/internal/fsio"
 	"daasscale/internal/loop"
 	"daasscale/internal/policy"
 	"daasscale/internal/resource"
@@ -170,7 +171,7 @@ func TestWriterReplayRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.ledger")
 	writeTestLedger(t, path, recs)
 
-	log, err := Replay(path)
+	log, err := ReplayFS(fsio.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestTornTailRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, err := Replay(path)
+	log, err := ReplayFS(fsio.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestTornTailRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantGood, wantEntries := goodFor(cut)
-		log, err := Replay(path)
+		log, err := ReplayFS(fsio.OS, path)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -282,7 +283,7 @@ func TestTornTailRecovery(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		log, err = Replay(path)
+		log, err = ReplayFS(fsio.OS, path)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -312,7 +313,7 @@ func TestCorruptedMidFileRecord(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	log, err := Replay(path)
+	log, err := ReplayFS(fsio.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func TestOpenWriterRejectsGarbage(t *testing.T) {
 	if _, err := OpenWriter(path); err == nil {
 		t.Fatal("garbage file opened as ledger")
 	}
-	if _, err := Replay(path); err == nil {
+	if _, err := ReplayFS(fsio.OS, path); err == nil {
 		t.Fatal("garbage file replayed as ledger")
 	}
 }
@@ -353,7 +354,7 @@ func TestWriterGroupCommit(t *testing.T) {
 	if preSyncs != 0 || w.Syncs() != 1 {
 		t.Fatalf("group commit: %d syncs before close, %d after; want 0, 1", preSyncs, w.Syncs())
 	}
-	log, err := Replay(path)
+	log, err := ReplayFS(fsio.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +415,7 @@ func simGolden(t *testing.T, name string, fp faults.Plan, act actuate.Config) {
 	if len(live) == 0 {
 		t.Fatal("no live audit records")
 	}
-	log, err := Replay(path)
+	log, err := ReplayFS(fsio.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}

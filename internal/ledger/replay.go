@@ -171,12 +171,6 @@ func scanFile(fsys fsio.FS, path string, visit func(Entry)) (good int64, torn bo
 	return good, good < int64(len(data)), err
 }
 
-// Replay reads a ledger back into memory from the real filesystem. See
-// ReplayFS.
-func Replay(path string) (*Log, error) {
-	return ReplayFS(fsio.OS, path)
-}
-
 // ReplayFS lists path's directory for its sealed segments and replays the
 // ledger: every intact record of every segment — sealed segments in
 // rotation order, then the active file — in append order, byte-faithfully

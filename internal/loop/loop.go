@@ -97,7 +97,9 @@ type Reconciler[T comparable] interface {
 type Config[T comparable] struct {
 	// ID labels the loop's DecisionRecords (tenant ID, policy or arm name).
 	ID string
-	// Engine is the tenant's engine, already constructed and placed.
+	// Engine is the tenant's engine, already constructed and placed. Nil
+	// for a loop fed only through StepSnapshot (the serving path), which
+	// then builds no load generator and must not call RunTicks.
 	Engine *engine.Engine
 	// Seed is the tenant's run seed. The loop derives its private streams
 	// from it: the load generator (Seed+GeneratorSeedOffset), the fault
@@ -191,13 +193,15 @@ type Totals struct {
 	Actuation actuate.Stats
 }
 
-// New assembles a loop. The engine, decider and applier must be non-nil.
+// New assembles a loop. The decider and applier must be non-nil.
 func New[T comparable](cfg Config[T]) *TenantLoop[T] {
 	lp := &TenantLoop[T]{
 		cfg:  cfg,
 		eng:  cfg.Engine,
-		gen:  workload.NewGenerator(cfg.Seed+GeneratorSeedOffset, cfg.Jitter),
 		node: -1,
+	}
+	if cfg.Engine != nil {
+		lp.gen = workload.NewGenerator(cfg.Seed+GeneratorSeedOffset, cfg.Jitter)
 	}
 	if cfg.Faults.Enabled() {
 		// The stream seed depends only on the run seed, so every policy
@@ -220,8 +224,8 @@ func New[T comparable](cfg Config[T]) *TenantLoop[T] {
 // run-level buffer. Growth doubles the backing array instead of relying on
 // append's growth factor: the buffer holds every request of the run
 // (hundreds of intervals), and doubling keeps the total bytes moved across
-// a run linear in the final size. Samples stay in generation order, which
-// fixes the bit pattern of Finalize's mean.
+// a run linear in the final size. Samples land in generation order, but
+// Finalize reorders them in place before it takes the mean (see there).
 func (lp *TenantLoop[T]) appendSamples(s []float64) {
 	if need := len(lp.samples) + len(s); need > cap(lp.samples) {
 		grow := 2 * cap(lp.samples)
@@ -464,14 +468,6 @@ func (lp *TenantLoop[T]) Snapshot() telemetry.Snapshot { return lp.snap }
 // LastDecision returns the last interval's decision.
 func (lp *TenantLoop[T]) LastDecision() Decision[T] { return lp.dec }
 
-// LastActual returns the substrate state the last interval started from
-// (captured before the decision was applied).
-func (lp *TenantLoop[T]) LastActual() T { return lp.actual }
-
-// LastObserved reports whether the last interval's telemetry reached the
-// decider.
-func (lp *TenantLoop[T]) LastObserved() bool { return lp.observed }
-
 // Finalize computes the loop's run-level totals over the given number of
 // intervals (cluster runners pass the cluster-wide interval count, which
 // may exceed this tenant's trace).
@@ -487,8 +483,10 @@ func (lp *TenantLoop[T]) Finalize(intervals int) Totals {
 	}
 	if len(lp.samples) > 0 {
 		// The sample buffer is private to this loop and dead after these
-		// aggregates, so the percentile selects in place (order is
-		// irrelevant to Mean).
+		// aggregates, so the percentile selects in place. Mean then sums
+		// the buffer in QuantileSelect's post-selection order, so AvgMs's
+		// last bits depend on that permutation (goldenEquivalence pins
+		// it): change the selection kernel and AvgMs moves.
 		tot.P95Ms = stats.QuantileSelect(lp.samples, 0.95)
 		tot.AvgMs = stats.Mean(lp.samples)
 	}

@@ -318,3 +318,44 @@ type failingApplier struct {
 
 func (a failingApplier) Apply(resource.Container) error { return a.err }
 func (a failingApplier) Actual() resource.Container     { return a.eng.Container() }
+
+// fixedApplier is a substrate that never moves: enough for a loop fed
+// only through StepSnapshot.
+type fixedApplier struct{ cont resource.Container }
+
+func (a fixedApplier) Apply(resource.Container) error { return nil }
+func (a fixedApplier) Actual() resource.Container     { return a.cont }
+
+// TestNewWithoutEngineAllocs pins the cost of a serving-shaped loop (no
+// engine): New allocates only the loop itself, never a load generator and
+// its math/rand source. A loop with an engine must still draw the offered
+// loads of a generator seeded at Seed+GeneratorSeedOffset.
+func TestNewWithoutEngineAllocs(t *testing.T) {
+	cont := resource.LockStepCatalog().AtStep(3)
+	cfg := Config[resource.Container]{
+		ID:       "serving",
+		Seed:     7,
+		Decider:  &PolicyDecider{Policy: &scriptedPolicy{cont: cont, decs: []policy.Decision{{Target: cont}}}, MemoryTarget: func() float64 { return 0 }},
+		Applier:  fixedApplier{cont},
+		Describe: DescribeContainer,
+	}
+	if lp := New(cfg); lp.gen != nil {
+		t.Fatal("a loop without an engine built a load generator")
+	}
+	if !raceEnabled {
+		if got := testing.AllocsPerRun(100, func() { New(cfg) }); got != 1 {
+			t.Errorf("New without an engine: %v allocs, want 1 (the loop)", got)
+		}
+	}
+
+	eng, _ := testEngine(t)
+	cfg.Engine, cfg.Jitter = eng, 0.1
+	lp := New(cfg)
+	lp.RunTicks(50)
+	want := workload.NewGenerator(cfg.Seed+GeneratorSeedOffset, cfg.Jitter)
+	for i, got := range lp.offered {
+		if w := want.Offered(50); got != w {
+			t.Fatalf("tick %d: offered %v, want %v", i, got, w)
+		}
+	}
+}

@@ -50,43 +50,6 @@ func ComparisonTable(w io.Writer, title string, comp sim.Comparison) {
 	}
 }
 
-// Drilldown writes the Figure 13 view of one run: container size as a
-// fraction of the server, CPU utilization, performance factor, and the
-// dominant wait class, per interval (sub-sampled to at most maxRows rows).
-func Drilldown(w io.Writer, r sim.Result, maxRows int) {
-	if maxRows <= 0 {
-		maxRows = 40
-	}
-	step := 1
-	if len(r.Series) > maxRows {
-		step = len(r.Series) / maxRows
-	}
-	fmt.Fprintf(w, "drill-down: %s on %s × %s\n", r.Policy, r.Workload, r.Trace)
-	fmt.Fprintf(w, "%8s  %-5s  %10s  %9s  %9s  %s\n",
-		"minute", "cont", "cpu-max%", "cpu-use%", "perf", "dominant wait")
-	for i := 0; i < len(r.Series); i += step {
-		pt := r.Series[i]
-		perf := "   -"
-		if !math.IsNaN(pt.PerformanceFactor) {
-			perf = fmt.Sprintf("%+.0f", pt.PerformanceFactor)
-		}
-		fmt.Fprintf(w, "%8d  %-5s  %9.1f%%  %8.1f%%  %9s  %s\n",
-			pt.Interval, pt.Container, pt.ContainerCPUFrac*100, pt.CPUUtilFrac*100,
-			perf, dominantWait(pt))
-	}
-}
-
-// dominantWait names the wait class with the largest share in the interval.
-func dominantWait(pt sim.IntervalPoint) string {
-	best := telemetry.WaitSystem
-	for _, wc := range telemetry.WaitClasses {
-		if pt.WaitPct[wc] > pt.WaitPct[best] {
-			best = wc
-		}
-	}
-	return fmt.Sprintf("%s (%.0f%%)", best, pt.WaitPct[best]*100)
-}
-
 // WaitMixTable writes the Figure 13(c) percentage-wait breakdown,
 // aggregated over the run (median share per class).
 func WaitMixTable(w io.Writer, r sim.Result) {

@@ -52,34 +52,11 @@ func TestComparisonTable(t *testing.T) {
 	}
 }
 
-func TestDrilldownAndWaitMix(t *testing.T) {
+func TestWaitMixTable(t *testing.T) {
 	var buf bytes.Buffer
-	Drilldown(&buf, sampleResult(), 2)
-	out := buf.String()
-	if !strings.Contains(out, "C2") || !strings.Contains(out, "lock (90%)") {
-		t.Errorf("drilldown missing content:\n%s", out)
-	}
-	buf.Reset()
-	Drilldown(&buf, sampleResult(), 0) // default rows
-	if !strings.Contains(buf.String(), "drill-down") {
-		t.Error("default drilldown failed")
-	}
-	buf.Reset()
 	WaitMixTable(&buf, sampleResult())
 	if !strings.Contains(buf.String(), "lock") || !strings.Contains(buf.String(), "90.0%") {
 		t.Errorf("wait mix missing:\n%s", buf.String())
-	}
-}
-
-func TestDrilldownNaNPerformance(t *testing.T) {
-	r := sampleResult()
-	for i := range r.Series {
-		r.Series[i].PerformanceFactor = math.NaN()
-	}
-	var buf bytes.Buffer
-	Drilldown(&buf, r, 2)
-	if !strings.Contains(buf.String(), "-") {
-		t.Error("NaN performance factor should render as a dash")
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"daasscale/internal/fsio"
 	"daasscale/internal/ledger"
-	"daasscale/internal/loop"
 )
 
 // LedgerCheck is one tenant's verified ledger summary.
@@ -122,22 +121,4 @@ func checkLog(id string, log *ledger.Log) (LedgerCheck, error) {
 		}
 	}
 	return c, nil
-}
-
-// VerifyReplayPrefix asserts the replayed decision stream is a prefix of
-// the live stream: liveDecisions is what a TeeRecorder (or the sender's
-// own bookkeeping) observed in order, and every replayed decision must be
-// byte-identical to its live counterpart. Replay may be shorter (an
-// unsynced tail lost to a crash is legal, if unacked) but never divergent
-// and never longer than live.
-func VerifyReplayPrefix(id string, replayed, live []loop.DecisionRecord) error {
-	if len(replayed) > len(live) {
-		return fmt.Errorf("serve: verify %s: replay has %d decisions, live only %d — replay invented decisions", id, len(replayed), len(live))
-	}
-	for i := range replayed {
-		if !bytes.Equal(ledger.EncodeDecision(&replayed[i]), ledger.EncodeDecision(&live[i])) {
-			return fmt.Errorf("serve: verify %s: replayed decision %d diverges from the live stream", id, i)
-		}
-	}
-	return nil
 }

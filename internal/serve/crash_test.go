@@ -87,7 +87,6 @@ func sweepServer(t *testing.T, shape crashShape, ffs *diskfaults.FS, clock *fake
 	t.Helper()
 	s, err := New(Config{
 		LedgerDir:     "/led",
-		Seed:          7,
 		FS:            ffs,
 		ProbeInterval: 5 * time.Second,
 		Now:           clock.Now,

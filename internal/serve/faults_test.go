@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"daasscale/internal/diskfaults"
+	"daasscale/internal/fsio"
 	"daasscale/internal/ledger"
 )
 
@@ -45,7 +46,6 @@ func faultServer(t *testing.T, mutate func(*Config)) (*Server, *diskfaults.MemFS
 	clock := newFakeClock()
 	cfg := Config{
 		LedgerDir:     "/led",
-		Seed:          7,
 		FS:            ffs,
 		ProbeInterval: 5 * time.Second,
 		Now:           clock.Now,
@@ -257,7 +257,7 @@ func TestServeResumeAcrossSealedSegments(t *testing.T) {
 
 	// Fresh daemon, same (now multi-segment) storage.
 	clock2 := newFakeClock()
-	s2, err := New(Config{LedgerDir: "/led", Seed: 7, FS: ffs, Now: clock2.Now})
+	s2, err := New(Config{LedgerDir: "/led", FS: ffs, Now: clock2.Now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestRetryAfter429FromBucket(t *testing.T) {
 	}
 	// The 429's NextSeq is an authoritative ack: both accepted snapshots
 	// are durable.
-	log, err := ledger.Replay(s.cfg.LedgerDir + "/acme.ledger")
+	log, err := ledger.ReplayFS(fsio.OS, s.cfg.LedgerDir+"/acme.ledger")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,7 +108,7 @@ func tenantName(i int) string { return fmt.Sprintf("t%04d", i) }
 func buildLedgers(t *testing.T, n, intervals int) (*diskfaults.MemFS, int) {
 	t.Helper()
 	mem := diskfaults.NewMemFS()
-	s, err := New(Config{LedgerDir: "/led", Seed: 7, SyncEvery: -1, FS: mem})
+	s, err := New(Config{LedgerDir: "/led", SyncEvery: -1, FS: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestRecoveryIOCounts(t *testing.T) {
 			const intervals = 3
 			mem, segments := buildLedgers(t, n, intervals)
 			cfs := newCountFS(mem)
-			s, err := New(Config{LedgerDir: "/led", Seed: 7, SyncEvery: -1, FS: cfs})
+			s, err := New(Config{LedgerDir: "/led", SyncEvery: -1, FS: cfs})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,7 +200,7 @@ func TestRecoveryIOCounts(t *testing.T) {
 // TestSyncOnlyWhenPending: a request that appends nothing fsyncs nothing.
 func TestSyncOnlyWhenPending(t *testing.T) {
 	cfs := newCountFS(diskfaults.NewMemFS())
-	s, err := New(Config{LedgerDir: "/led", Seed: 7, SyncEvery: -1, FS: cfs})
+	s, err := New(Config{LedgerDir: "/led", SyncEvery: -1, FS: cfs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestReadsAfterRestart(t *testing.T) {
 	}
 	before, _ := mem.ReadDir("/led")
 
-	s, err := New(Config{LedgerDir: "/led", Seed: 7, FS: mem, MaxTenants: 3})
+	s, err := New(Config{LedgerDir: "/led", FS: mem, MaxTenants: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestReadsAfterRestart(t *testing.T) {
 	}
 
 	// The cap counts read-opened tenants like ingest-opened ones.
-	capped, err := New(Config{LedgerDir: "/led", Seed: 7, FS: mem, MaxTenants: 1})
+	capped, err := New(Config{LedgerDir: "/led", FS: mem, MaxTenants: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestOpenOutsideMapLock(t *testing.T) {
 	g := newGate("/led/t0000.ledger")
 	cfs := newCountFS(mem)
 	cfs.hold = g.hold
-	s, err := New(Config{LedgerDir: "/led", Seed: 7, FS: cfs})
+	s, err := New(Config{LedgerDir: "/led", FS: cfs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestCloseDuringOpen(t *testing.T) {
 	g := newGate("/led/t0000.ledger")
 	cfs := newCountFS(mem)
 	cfs.hold = g.hold
-	s, err := New(Config{LedgerDir: "/led", Seed: 7, FS: cfs})
+	s, err := New(Config{LedgerDir: "/led", FS: cfs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +478,7 @@ func TestCloseDuringOpen(t *testing.T) {
 func TestFailedOpenIsRetried(t *testing.T) {
 	mem, _ := buildLedgers(t, 1, 2)
 	ffs := diskfaults.Wrap(mem, diskfaults.Plan{Kind: diskfaults.KindEIO, Count: -1, Mask: diskfaults.MaskOf(diskfaults.OpCreate)})
-	s, err := New(Config{LedgerDir: "/led", Seed: 7, FS: ffs})
+	s, err := New(Config{LedgerDir: "/led", FS: ffs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +497,7 @@ func TestFailedOpenIsRetried(t *testing.T) {
 		t.Fatalf("ingest once the disk recovered: status %d, want 200", code)
 	}
 
-	if _, err := New(Config{LedgerDir: "/led", Seed: 7, FS: noListFS{mem}}); err == nil {
+	if _, err := New(Config{LedgerDir: "/led", FS: noListFS{mem}}); err == nil {
 		t.Fatal("New over an unlistable ledger directory returned nil")
 	}
 }

@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"daasscale/internal/core"
-	"daasscale/internal/exec"
 	"daasscale/internal/fsio"
 	"daasscale/internal/ledger"
 	"daasscale/internal/loop"
@@ -82,11 +81,6 @@ type Config struct {
 	// tenant starts (or, after a restart, resumes) in. Nil uses the
 	// default demand-driven auto-scaler.
 	NewPolicy func(tenantID string, initial resource.Container) (policy.Policy, error)
-	// Seed is the service's base seed. Each tenant's loop seed derives
-	// from it via exec.SplitSeedString, the same discipline the fleet
-	// runners use, so a tenant's decision stream is independent of tenant
-	// arrival order.
-	Seed int64
 	// ReorderWindow bounds the per-tenant reorder buffer (0 =
 	// DefaultReorderWindow). Once more than ReorderWindow future
 	// snapshots wait, the oldest gap is flushed as withheld intervals.
@@ -226,13 +220,6 @@ func (s *Server) newPolicy(id string, initial resource.Container) (policy.Policy
 		return nil, err
 	}
 	return policy.NewAuto(sc), nil
-}
-
-// tenantSeed derives a tenant's loop seed from the service seed — same
-// SplitSeed discipline as the fleet runners, so the stream is a function
-// of (service seed, tenant ID) alone.
-func (s *Server) tenantSeed(id string) int64 {
-	return exec.SplitSeedString(s.cfg.Seed, id)
 }
 
 // newBucket builds a per-tenant token bucket from the configured rate

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"daasscale/internal/fsio"
 	"daasscale/internal/ledger"
 	"daasscale/internal/loop"
 	"daasscale/internal/resource"
@@ -46,7 +47,7 @@ func snapFor(i int) telemetry.Snapshot {
 
 func newTestServer(t *testing.T, mutate func(*Config)) *Server {
 	t.Helper()
-	cfg := Config{LedgerDir: t.TempDir(), Seed: 7}
+	cfg := Config{LedgerDir: t.TempDir()}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -450,7 +451,7 @@ func TestServeReplayEqualsLive(t *testing.T) {
 	}
 	flush()
 
-	log, err := ledger.Replay(filepath.Join(dir, "a.ledger"))
+	log, err := ledger.ReplayFS(fsio.OS, filepath.Join(dir, "a.ledger"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +532,7 @@ func TestServeDrainFlushesBuffered(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	log, err := ledger.Replay(filepath.Join(dir, "a.ledger"))
+	log, err := ledger.ReplayFS(fsio.OS, filepath.Join(dir, "a.ledger"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +577,7 @@ func TestServeRestartResume(t *testing.T) {
 		t.Fatalf("resume reply %+v", reply)
 	}
 
-	log, err := ledger.Replay(filepath.Join(dir, "a.ledger"))
+	log, err := ledger.ReplayFS(fsio.OS, filepath.Join(dir, "a.ledger"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -628,7 +629,7 @@ func TestServeRestartAfterTornWrite(t *testing.T) {
 	if reply.Duplicates != 1 || reply.Accepted != 1 {
 		t.Fatalf("post-tear reply %+v", reply)
 	}
-	log, err := ledger.Replay(path)
+	log, err := ledger.ReplayFS(fsio.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}

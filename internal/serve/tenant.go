@@ -175,8 +175,7 @@ func (t *tenant) resume(tail ledger.Tail) error {
 		}
 	}
 	t.lp = loop.New(loop.Config[resource.Container]{
-		ID:   t.id,
-		Seed: s.tenantSeed(t.id),
+		ID: t.id,
 		Decider: &loop.PolicyDecider{
 			Policy:       pol,
 			MemoryTarget: func() float64 { return t.applier.memMB },

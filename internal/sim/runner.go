@@ -7,21 +7,18 @@ import (
 	"daasscale/internal/actuate"
 	"daasscale/internal/budget"
 	"daasscale/internal/core"
-	"daasscale/internal/engine"
 	"daasscale/internal/exec"
 	"daasscale/internal/faults"
 	"daasscale/internal/policy"
 	"daasscale/internal/resource"
-	"daasscale/internal/trace"
-	"daasscale/internal/workload"
 )
 
 // Runner is the single entry point to every simulation in this package:
 // single runs, policy sweeps, six-policy comparisons, multi-tenant cluster
 // replays and the ballooning experiment. It carries the cross-cutting
 // configuration the old Spec/ComparisonSpec/MultiTenantSpec/BallooningSpec
-// free functions each re-declared — catalog, default policy, seed, engine
-// options — plus the execution machinery the free functions never had:
+// free functions each re-declared — the default seed and the fault and
+// actuation plans — plus the execution machinery the free functions never had:
 // a worker pool that fans per-tenant work across WithParallelism workers,
 // context cancellation on every path, and a progress/metrics hook.
 //
@@ -30,15 +27,10 @@ import (
 // per-tenant randomness is derived with exec.SplitSeed, and results are
 // collected into index-addressed slots.
 type Runner struct {
-	catalog     *resource.Catalog
-	policy      policy.Policy
 	seed        int64
 	seedSet     bool
 	parallelism int
 	progress    func(exec.Progress)
-	engineOpts  engine.Options
-	engineSet   bool
-	jitter      float64
 	faults      faults.Plan
 	actuation   actuate.Config
 	phaseLabels bool
@@ -46,17 +38,6 @@ type Runner struct {
 
 // Option configures a Runner.
 type Option func(*Runner)
-
-// WithCatalog sets the container catalog used whenever a spec leaves its
-// Catalog nil (default: the lock-step catalog).
-func WithCatalog(cat *resource.Catalog) Option {
-	return func(r *Runner) { r.catalog = cat }
-}
-
-// WithPolicy sets the default policy for Run when the spec has none.
-func WithPolicy(p policy.Policy) Option {
-	return func(r *Runner) { r.policy = p }
-}
 
 // WithSeed sets the default seed applied to specs whose Seed is zero.
 func WithSeed(seed int64) Option {
@@ -75,18 +56,6 @@ func WithParallelism(n int) Option {
 // The hook may be called concurrently from several workers.
 func WithProgress(fn func(exec.Progress)) Option {
 	return func(r *Runner) { r.progress = fn }
-}
-
-// WithEngineOptions sets the engine options applied to specs whose
-// EngineOpts is the zero value.
-func WithEngineOptions(opts engine.Options) Option {
-	return func(r *Runner) { r.engineOpts, r.engineSet = opts, true }
-}
-
-// WithJitter sets the load generator's arrival jitter applied to specs
-// whose Jitter is zero (default 0.1).
-func WithJitter(j float64) Option {
-	return func(r *Runner) { r.jitter = j }
 }
 
 // WithFaults sets the deterministic fault plan applied to the telemetry
@@ -132,12 +101,10 @@ func NewRunner(opts ...Option) *Runner {
 
 // --- default resolution ----------------------------------------------------
 
-func (r *Runner) resolveCatalog(cat *resource.Catalog) *resource.Catalog {
+// orLockStep is cat, or the lock-step catalog when a spec leaves it nil.
+func orLockStep(cat *resource.Catalog) *resource.Catalog {
 	if cat != nil {
 		return cat
-	}
-	if r.catalog != nil {
-		return r.catalog
 	}
 	return resource.LockStepCatalog()
 }
@@ -149,13 +116,6 @@ func (r *Runner) resolveSeed(seed int64) int64 {
 	return seed
 }
 
-func (r *Runner) resolveEngineOpts(opts engine.Options) engine.Options {
-	if opts == (engine.Options{}) && r.engineSet {
-		return r.engineOpts
-	}
-	return opts
-}
-
 // newPool builds the per-run worker pool. Each top-level run gets its own
 // pool so concurrent runs of one Runner do not share metrics.
 func (r *Runner) newPool() *exec.Pool {
@@ -164,14 +124,7 @@ func (r *Runner) newPool() *exec.Pool {
 
 // applyDefaults fills a single-run spec from the runner's options.
 func (r *Runner) applyDefaults(spec Spec) Spec {
-	if spec.Policy == nil {
-		spec.Policy = r.policy
-	}
 	spec.Seed = r.resolveSeed(spec.Seed)
-	spec.EngineOpts = r.resolveEngineOpts(spec.EngineOpts)
-	if spec.Jitter == 0 {
-		spec.Jitter = r.jitter
-	}
 	// Only a fully-zero plan takes the runner default: a non-zero but
 	// disabled plan may be malformed (e.g. a NaN rate) and must reach
 	// Validate rather than be silently replaced.
@@ -196,36 +149,6 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (Result, error) {
 	return runSpec(ctx, spec)
 }
 
-// RunPolicies replays the identical spec once per policy, fanning the runs
-// across the pool — the building block for policy sweeps. Results come
-// back in the order of the policies argument regardless of scheduling.
-func (r *Runner) RunPolicies(ctx context.Context, spec Spec, policies []policy.Policy) ([]Result, error) {
-	if err := validatePolicies(policies); err != nil {
-		return nil, err
-	}
-	spec = r.applyDefaults(spec)
-	spec.Policy = policies[0]
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	pool := r.newPool()
-	return execMapPool(ctx, pool, len(policies), func(ctx context.Context, i int) (Result, error) {
-		s := spec
-		s.Policy = policies[i]
-		res, err := runSpec(ctx, s)
-		if err != nil {
-			return Result{}, fmt.Errorf("sim: policy %s: %w", policies[i].Name(), err)
-		}
-		return res, nil
-	})
-}
-
-// DeriveOffline runs the Max-container baseline under the runner's
-// defaults and derives the offline provisioning baselines from it.
-func (r *Runner) DeriveOffline(ctx context.Context, w *workload.Workload, tr *trace.Trace) (OfflineBaselines, error) {
-	return deriveOffline(ctx, r.resolveCatalog(nil), w, tr, r.resolveSeed(0), r.resolveEngineOpts(engine.Options{}))
-}
-
 // RunComparison executes the full six-policy experiment of the paper's
 // evaluation. The Max run comes first (the offline baselines are derived
 // from it); the five remaining policies then replay the identical offered
@@ -240,9 +163,8 @@ func (r *Runner) DeriveOffline(ctx context.Context, w *workload.Workload, tr *tr
 // of the five policy runs while the offline Max derivation stays
 // synchronous.
 func (r *Runner) RunComparison(ctx context.Context, cs ComparisonSpec) (Comparison, error) {
-	cs.Catalog = r.resolveCatalog(cs.Catalog)
+	cs.Catalog = orLockStep(cs.Catalog)
 	cs.Seed = r.resolveSeed(cs.Seed)
-	cs.EngineOpts = r.resolveEngineOpts(cs.EngineOpts)
 	if cs.Faults == (faults.Plan{}) {
 		cs.Faults = r.faults
 	}
@@ -359,8 +281,7 @@ func (r *Runner) RunBallooning(ctx context.Context, spec BallooningSpec) (Balloo
 // and a third of the run's wall time, so wall-clock does not scale
 // linearly with workers.
 func (r *Runner) RunMultiTenant(ctx context.Context, spec MultiTenantSpec) (MultiTenantResult, error) {
-	spec.Catalog = r.resolveCatalog(spec.Catalog)
-	spec.EngineOpts = r.resolveEngineOpts(spec.EngineOpts)
+	spec.Catalog = orLockStep(spec.Catalog)
 	if spec.Faults == (faults.Plan{}) {
 		spec.Faults = r.faults
 	}

@@ -187,14 +187,6 @@ func TestRunnerValidationSentinels(t *testing.T) {
 			_, err := r.RunBallooning(ctx, BallooningSpec{Intervals: 10, ShrinkAt: 10})
 			return err
 		}},
-		{"empty policy list", func() error {
-			_, err := r.RunPolicies(ctx, Spec{Workload: workload.DS2(), Trace: shortTrace()}, nil)
-			return err
-		}},
-		{"nil policy entry", func() error {
-			_, err := r.RunPolicies(ctx, Spec{Workload: workload.DS2(), Trace: shortTrace()}, []policy.Policy{nil})
-			return err
-		}},
 	}
 	for _, tc := range cases {
 		if err := tc.err(); !errors.Is(err, ErrInvalidSpec) {
@@ -234,60 +226,5 @@ func TestRunnerOptionDefaults(t *testing.T) {
 	}
 	if reflect.DeepEqual(want, got2) {
 		t.Error("an explicit spec seed should override WithSeed")
-	}
-
-	// WithJitter fills a zero spec jitter.
-	jit := base
-	jit.Seed, jit.Jitter = 42, 0.3
-	wantJ, err := NewRunner().Run(context.Background(), jit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJ, err := NewRunner(WithSeed(42), WithJitter(0.3)).Run(context.Background(), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(wantJ, gotJ) {
-		t.Error("WithJitter(0.3) on a zero-jitter spec differs from an explicit Jitter")
-	}
-
-	// WithPolicy fills a missing spec policy.
-	nopol := base
-	nopol.Policy, nopol.Seed = nil, 42
-	gotP, err := NewRunner(WithPolicy(policy.NewStatic("Fixed", cat.AtStep(5)))).Run(context.Background(), nopol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotP.Policy != "Fixed" {
-		t.Errorf("WithPolicy default not applied: %q", gotP.Policy)
-	}
-}
-
-func TestRunnerRunPoliciesOrder(t *testing.T) {
-	policies := []policy.Policy{
-		policy.NewStatic("S2", cat.AtStep(2)),
-		policy.NewStatic("S4", cat.AtStep(4)),
-		policy.NewStatic("S6", cat.AtStep(6)),
-	}
-	res, err := NewRunner(WithParallelism(3), WithSeed(5)).RunPolicies(context.Background(), Spec{
-		Workload: workload.DS2(),
-		Trace:    shortTrace(),
-	}, policies)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 3 {
-		t.Fatalf("results = %d", len(res))
-	}
-	for i, want := range []string{"S2", "S4", "S6"} {
-		if res[i].Policy != want {
-			t.Errorf("result %d is %q, want %q", i, res[i].Policy, want)
-		}
-	}
-	// A sweep must replay the identical offered load per policy.
-	for _, r := range res {
-		if r.Intervals != shortTrace().Len() {
-			t.Errorf("policy %s ran %d intervals", r.Policy, r.Intervals)
-		}
 	}
 }

@@ -117,8 +117,7 @@ func TestRunNoGoalPerformanceFactorNaN(t *testing.T) {
 }
 
 func TestDeriveOffline(t *testing.T) {
-	r := NewRunner(WithCatalog(cat), WithSeed(11), WithEngineOptions(engine.Options{WarmStart: true}))
-	off, err := r.DeriveOffline(context.Background(), workload.CPUIO(workload.DefaultCPUIOConfig()), trace.Trace2(200, 9))
+	off, err := deriveOffline(context.Background(), cat, workload.CPUIO(workload.DefaultCPUIOConfig()), trace.Trace2(200, 9), 11, engine.Options{WarmStart: true})
 	if err != nil {
 		t.Fatal(err)
 	}

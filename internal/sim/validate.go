@@ -3,7 +3,6 @@ package sim
 import (
 	"daasscale/internal/actuate"
 	"daasscale/internal/faults"
-	"daasscale/internal/policy"
 	"daasscale/internal/resource"
 )
 
@@ -47,19 +46,6 @@ func validateFaults(p faults.Plan) error {
 func validateActuation(cfg actuate.Config) error {
 	if err := cfg.Validate(); err != nil {
 		return invalidSpec("actuation config: %v", err)
-	}
-	return nil
-}
-
-// validatePolicies rejects empty policy lists and nil entries.
-func validatePolicies(ps []policy.Policy) error {
-	if len(ps) == 0 {
-		return invalidSpec("policy list is empty")
-	}
-	for i, p := range ps {
-		if p == nil {
-			return invalidSpec("policy %d is nil", i)
-		}
 	}
 	return nil
 }

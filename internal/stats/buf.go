@@ -97,7 +97,8 @@ func SpearmanBuf(xs, ys []float64, sc *SpearmanScratch) (float64, error) {
 	return Pearson(sc.rx, sc.ry)
 }
 
-// ranksInto computes the same fractional ranks as Ranks into dst (resized
+// ranksInto computes fractional ranks (1-based, ties get the average of
+// the ranks they span — the ranking Spearman uses) into dst (resized
 // to len(xs)), using *idxBuf as index scratch. Rank values are independent
 // of how ties are ordered internally, so any stable-or-not sort of the
 // index slice yields the identical rank vector.

@@ -20,9 +20,6 @@ func TestQuantileNaNQ(t *testing.T) {
 	if got := QuantileSelect(append([]float64(nil), xs...), nan); !math.IsNaN(got) {
 		t.Errorf("QuantileSelect(xs, NaN) = %v, want NaN", got)
 	}
-	if got := QuantileSorted([]float64{1, 2, 3}, nan); !math.IsNaN(got) {
-		t.Errorf("QuantileSorted(xs, NaN) = %v, want NaN", got)
-	}
 	if got := quantileReference(xs, nan); !math.IsNaN(got) {
 		t.Errorf("quantileReference(xs, NaN) = %v, want NaN", got)
 	}

@@ -27,6 +27,30 @@ func quantileReference(xs []float64, q float64) float64 {
 	return quantileSorted(s, q)
 }
 
+// quantileSorted interpolates the q-quantile of non-empty data sorted
+// ascending, the textbook way the selection kernels must match.
+func quantileSorted(s []float64, q float64) float64 {
+	if math.IsNaN(q) {
+		// NaN escapes both clamps below; pos would be NaN and the floor an
+		// out-of-range index. The NaN quantile of any data is NaN.
+		return math.NaN()
+	}
+	if q <= 0 {
+		return s[0]
+	}
+	if q >= 1 {
+		return s[len(s)-1]
+	}
+	pos := q * float64(len(s)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	if lo == hi {
+		return s[lo]
+	}
+	frac := pos - float64(lo)
+	return s[lo]*(1-frac) + s[hi]*frac
+}
+
 // theilSenReference is the pre-optimization Theil–Sen estimator: it
 // allocates the pairwise-slope slice on every call and takes medians by
 // copy-and-sort. Bit-identical to TheilSenBuf on the same input.
@@ -68,7 +92,7 @@ func theilSenReference(xs, ys []float64, alpha float64) (Trend, error) {
 	return Trend{Slope: slope, Intercept: intercept, Significant: sig, Agreement: agree, N: n}, nil
 }
 
-// ranksReference is the pre-optimization Ranks: fresh rank and index slices
+// ranksReference is the pre-optimization rank kernel: fresh rank and index slices
 // plus a sort.Slice (which allocates its closure and swapper) on every call.
 // Rank vectors are independent of how ties are ordered internally, so it is
 // bit-identical to the scratch-reusing kernel.

@@ -381,7 +381,7 @@ func TestSpearmanBufAdversarial(t *testing.T) {
 func TestRanksIntoMatchesSortSliceReference(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := cleanSeries(raw, 1)
-		got := Ranks(xs)
+		got := ranks(xs)
 		want := ranksReference(xs)
 		for i := range want {
 			if got[i] != want[i] {

@@ -132,8 +132,8 @@ func TestSketchNaNContract(t *testing.T) {
 	if v := s.Quantile(0.5); math.IsNaN(v) {
 		t.Error("NaN input poisoned the quantiles")
 	}
-	// Quantile(NaN) → NaN: the PR-3 contract shared with Quantile,
-	// QuantileSorted and QuantileSelect.
+	// Quantile(NaN) → NaN: the contract shared with Quantile and
+	// QuantileSelect.
 	if !math.IsNaN(s.Quantile(math.NaN())) {
 		t.Error("Quantile(NaN) should be NaN")
 	}

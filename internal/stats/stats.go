@@ -49,52 +49,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return QuantileSelect(s, q)
 }
 
-// QuantileSorted is Quantile for data already sorted ascending. It does not
-// copy.
-func QuantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	return quantileSorted(sorted, q)
-}
-
-func quantileSorted(s []float64, q float64) float64 {
-	if math.IsNaN(q) {
-		// NaN escapes both clamps below; pos would be NaN and the floor an
-		// out-of-range index. The NaN quantile of any data is NaN.
-		return math.NaN()
-	}
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// MAD returns the median absolute deviation from the median, a robust
-// dispersion measure.
-func MAD(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Median(xs)
-	dev := make([]float64, len(xs))
-	for i, x := range xs {
-		dev[i] = math.Abs(x - m)
-	}
-	return MedianInPlace(dev) // dev is private to this call
-
-}
-
 // Trend is the outcome of a trend estimation over a time series.
 type Trend struct {
 	// Slope is the estimated slope (units of y per unit of x).
@@ -163,14 +117,6 @@ func LeastSquares(xs, ys []float64, alpha float64) (Trend, error) {
 		Agreement:   r2,
 		N:           n,
 	}, nil
-}
-
-// Ranks assigns fractional ranks (1-based, ties get the average of the ranks
-// they span), the standard ranking used by Spearman correlation. It is a
-// thin wrapper over the scratch-reusing kernel behind SpearmanBuf.
-func Ranks(xs []float64) []float64 {
-	var idx []int
-	return ranksInto(nil, xs, &idx)
 }
 
 // Pearson returns the Pearson product-moment correlation coefficient of xs

@@ -76,6 +76,8 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
+// TestQuantileSortedMatchesQuantile: the selection-based Quantile equals
+// textbook interpolation over the fully sorted data.
 func TestQuantileSortedMatchesQuantile(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	xs := make([]float64, 101)
@@ -85,8 +87,8 @@ func TestQuantileSortedMatchesQuantile(t *testing.T) {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
 	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.95, 1} {
-		if a, b := Quantile(xs, q), QuantileSorted(s, q); a != b {
-			t.Errorf("q=%v: Quantile=%v QuantileSorted=%v", q, a, b)
+		if a, b := Quantile(xs, q), quantileSorted(s, q); a != b {
+			t.Errorf("q=%v: Quantile=%v quantileSorted=%v", q, a, b)
 		}
 	}
 }
@@ -111,17 +113,6 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMAD(t *testing.T) {
-	xs := []float64{1, 1, 2, 2, 4, 6, 9}
-	// median = 2, |x-2| = {1,1,0,0,2,4,7}, median of that = 1
-	if got := MAD(xs); got != 1 {
-		t.Errorf("MAD = %v, want 1", got)
-	}
-	if got := MAD(nil); !math.IsNaN(got) {
-		t.Errorf("MAD(nil) = %v, want NaN", got)
 	}
 }
 
@@ -218,20 +209,26 @@ func TestLeastSquaresPerfectLine(t *testing.T) {
 	}
 }
 
+// ranks is the allocating form of ranksInto.
+func ranks(xs []float64) []float64 {
+	var idx []int
+	return ranksInto(nil, xs, &idx)
+}
+
 func TestRanks(t *testing.T) {
-	got := Ranks([]float64{30, 10, 20})
+	got := ranks([]float64{30, 10, 20})
 	want := []float64{3, 1, 2}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Ranks = %v, want %v", got, want)
+			t.Fatalf("ranks = %v, want %v", got, want)
 		}
 	}
 	// Ties share the average rank.
-	got = Ranks([]float64{5, 5, 1, 9})
+	got = ranks([]float64{5, 5, 1, 9})
 	want = []float64{2.5, 2.5, 1, 4}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Ranks with ties = %v, want %v", got, want)
+			t.Fatalf("ranks with ties = %v, want %v", got, want)
 		}
 	}
 }

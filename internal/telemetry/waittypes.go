@@ -26,19 +26,6 @@ var (
 	systemWaitTypes = []WaitType{"CHECKPOINT_QUEUE", "LAZYWRITER_SLEEP", "DIRTY_PAGE_POLL", "XE_TIMER_EVENT", "HADR_FILESTREAM_IOMGR_IOCOMPLETION", "SLEEP_TASK"}
 )
 
-// KnownWaitTypes returns the full catalog, classified.
-func KnownWaitTypes() map[WaitClass][]WaitType {
-	return map[WaitClass][]WaitType{
-		WaitCPU:    append([]WaitType(nil), cpuWaitTypes...),
-		WaitMemory: append([]WaitType(nil), memoryWaitTypes...),
-		WaitDiskIO: append([]WaitType(nil), diskWaitTypes...),
-		WaitLogIO:  append([]WaitType(nil), logWaitTypes...),
-		WaitLock:   append([]WaitType(nil), lockWaitTypes...),
-		WaitLatch:  append([]WaitType(nil), latchWaitTypes...),
-		WaitSystem: append([]WaitType(nil), systemWaitTypes...),
-	}
-}
-
 // ClassifyWaitType maps an engine wait type to its broad class using the
 // paper's rule style: exact catalog membership first, then prefix rules for
 // families of types, with everything unknown attributed to the system class
@@ -85,30 +72,14 @@ func AggregateWaitTypes(byType map[WaitType]float64) [NumWaitClasses]float64 {
 	return out
 }
 
-// SplitClassWaits distributes one class's wait total across a realistic mix
-// of its wait types (the inverse transformation, used by the engine
-// simulator to emit raw telemetry in the shape a real DBMS reports it).
-// The split is deterministic: the first type in the class's catalog gets
-// the largest share, decaying geometrically.
-func SplitClassWaits(class WaitClass, totalMs float64) map[WaitType]float64 {
-	out := make(map[WaitType]float64, len(classCatalog(class)))
-	AddClassWaits(out, class, totalMs)
-	return out
-}
-
-// AddClassWaits is SplitClassWaits into a caller-owned map: the per-type
-// shares are accumulated into dst without allocating a new map.
-func AddClassWaits(dst map[WaitType]float64, class WaitClass, totalMs float64) {
-	VisitClassWaits(class, totalMs, func(t WaitType, ms float64) { dst[t] += ms })
-}
-
-// VisitClassWaits is the zero-allocation form of SplitClassWaits: it calls
-// fn once per wait type of the class with that type's share of totalMs,
-// touching no map at all. The shares are computed with exactly the float
-// operations AddClassWaits historically used (totalMs * share / norm per
-// type), so a visitor-built map is bit-identical to the map variants. The
-// engine's hot path visits instead of materializing; classes with no
-// catalog or a non-positive total visit nothing.
+// VisitClassWaits distributes one class's wait total across a realistic mix
+// of its wait types (the inverse of AggregateWaitTypes, used by the engine
+// simulator to emit raw telemetry in the shape a real DBMS reports it): it
+// calls fn once per wait type of the class with that type's share of
+// totalMs (totalMs * share / norm), touching no map at all. The split is
+// deterministic: the first type in the class's catalog gets the largest
+// share, decaying geometrically. Classes with no catalog or a non-positive
+// total visit nothing.
 func VisitClassWaits(class WaitClass, totalMs float64, fn func(WaitType, float64)) {
 	types := classCatalog(class)
 	if len(types) == 0 || totalMs <= 0 {

@@ -6,9 +6,16 @@ import (
 	"testing/quick"
 )
 
+// splitClassWaits collects VisitClassWaits' split into a map.
+func splitClassWaits(class WaitClass, totalMs float64) map[WaitType]float64 {
+	out := map[WaitType]float64{}
+	VisitClassWaits(class, totalMs, func(t WaitType, ms float64) { out[t] += ms })
+	return out
+}
+
 func TestCatalogTypesClassifyToTheirClass(t *testing.T) {
-	for class, types := range KnownWaitTypes() {
-		for _, wt := range types {
+	for _, class := range WaitClasses {
+		for _, wt := range classCatalog(class) {
 			if got := ClassifyWaitType(wt); got != class {
 				t.Errorf("%s classified as %v, want %v", wt, got, class)
 			}
@@ -66,7 +73,7 @@ func TestSplitRoundTripsThroughAggregate(t *testing.T) {
 	f := func(raw float64, classIdx uint8) bool {
 		total := math.Abs(math.Mod(raw, 1e7))
 		class := WaitClasses[int(classIdx)%NumWaitClasses]
-		split := SplitClassWaits(class, total)
+		split := splitClassWaits(class, total)
 		agg := AggregateWaitTypes(split)
 		for _, c := range WaitClasses {
 			if c == class {
@@ -85,15 +92,15 @@ func TestSplitRoundTripsThroughAggregate(t *testing.T) {
 }
 
 func TestSplitShapes(t *testing.T) {
-	split := SplitClassWaits(WaitLock, 1000)
-	if len(split) != len(KnownWaitTypes()[WaitLock]) {
+	split := splitClassWaits(WaitLock, 1000)
+	if len(split) != len(classCatalog(WaitLock)) {
 		t.Fatalf("split has %d types", len(split))
 	}
 	// The first catalog type carries the largest share.
 	if split["LCK_M_S"] <= split["LCK_M_X"] {
 		t.Errorf("shares not decaying: %v", split)
 	}
-	if got := SplitClassWaits(WaitLock, 0); len(got) != 0 {
+	if got := splitClassWaits(WaitLock, 0); len(got) != 0 {
 		t.Errorf("zero total should split to nothing: %v", got)
 	}
 }

@@ -329,39 +329,3 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// ReadCSV parses a trace written by WriteCSV. The name is taken from the
-// argument since the CSV does not carry it.
-func ReadCSV(r io.Reader, name string) (*Trace, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading CSV: %w", err)
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("trace: empty CSV")
-	}
-	tr := &Trace{Name: name}
-	for i, row := range rows {
-		if i == 0 && row[0] == "minute" {
-			continue
-		}
-		if len(row) != 2 {
-			return nil, fmt.Errorf("trace: row %d has %d fields, want 2", i, len(row))
-		}
-		v, err := strconv.ParseFloat(row[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d: %w", i, err)
-		}
-		if v < 0 {
-			return nil, fmt.Errorf("trace: row %d: negative rate %v", i, v)
-		}
-		// ParseFloat accepts "NaN" and "Inf"; one such tick would make every
-		// backlog and latency of the engine non-finite for its lifetime.
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("trace: row %d: non-finite rate %v", i, v)
-		}
-		tr.RPS = append(tr.RPS, v)
-	}
-	return tr, nil
-}

@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -145,38 +143,5 @@ func TestGeneratorNeverNegative(t *testing.T) {
 	}
 	if v := g.Offered(0); v != 0 {
 		t.Errorf("zero target should offer zero, got %v", v)
-	}
-}
-
-func TestWorkloadJSONRoundTrip(t *testing.T) {
-	for _, name := range []string{"tpcc", "ds2", "cpuio"} {
-		w, _ := ByName(name)
-		var buf bytes.Buffer
-		if err := w.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadJSON(&buf)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got.Name != w.Name || got.WorkingSetMB != w.WorkingSetMB || len(got.Classes) != len(w.Classes) {
-			t.Errorf("%s round trip mismatch", name)
-		}
-		for i := range w.Classes {
-			if got.Classes[i] != w.Classes[i] {
-				t.Errorf("%s class %d mismatch: %+v vs %+v", name, i, got.Classes[i], w.Classes[i])
-			}
-		}
-	}
-}
-
-func TestReadJSONValidates(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("{")); err == nil {
-		t.Error("bad JSON should fail")
-	}
-	// Valid JSON, invalid workload (working set > data size).
-	bad := `{"name":"x","classes":[{"name":"a","weight":1}],"data_size_mb":10,"working_set_mb":20}`
-	if _, err := ReadJSON(strings.NewReader(bad)); err == nil {
-		t.Error("invalid workload should fail validation")
 	}
 }
