@@ -46,11 +46,13 @@ func (e *encBuf) strs(ss []string) {
 	}
 }
 
-// decBuf consumes one record payload.
+// decBuf consumes one record payload. With skip set it validates exactly
+// as a full decode does, but strings are bounds-checked, never copied.
 type decBuf struct {
-	b   []byte
-	off int
-	err error
+	b    []byte
+	off  int
+	err  error
+	skip bool
 }
 
 func (d *decBuf) fail() {
@@ -111,7 +113,10 @@ func (d *decBuf) str() string {
 		d.fail()
 		return ""
 	}
-	s := string(d.b[d.off : d.off+n])
+	var s string
+	if !d.skip {
+		s = string(d.b[d.off : d.off+n])
+	}
 	d.off += n
 	return s
 }
@@ -130,9 +135,14 @@ func (d *decBuf) strs() []string {
 		d.fail()
 		return nil
 	}
-	ss := make([]string, 0, n)
+	var ss []string
+	if !d.skip {
+		ss = make([]string, 0, n)
+	}
 	for i := 0; i < n; i++ {
-		ss = append(ss, d.str())
+		if s := d.str(); !d.skip {
+			ss = append(ss, s)
+		}
 	}
 	return ss
 }
@@ -263,8 +273,17 @@ func EncodeDecision(r *loop.DecisionRecord) []byte {
 // DecodeDecision parses a payload produced by EncodeDecision. Trailing
 // bytes are an error: a frame carries exactly one record.
 func DecodeDecision(payload []byte) (loop.DecisionRecord, error) {
-	d := &decBuf{b: payload}
 	var r loop.DecisionRecord
+	if err := decodeDecision(payload, false, &r); err != nil {
+		return loop.DecisionRecord{}, err
+	}
+	return r, nil
+}
+
+// decodeDecision is DecodeDecision into r. With skip it only validates: r
+// gets the fixed-width fields, no strings and no explanations.
+func decodeDecision(payload []byte, skip bool, r *loop.DecisionRecord) error {
+	d := &decBuf{b: payload, skip: skip}
 	r.Tenant = d.str()
 	r.Interval = d.i64()
 	decodeSnapshot(d, &r.Snapshot)
@@ -305,12 +324,12 @@ func DecodeDecision(payload []byte) (loop.DecisionRecord, error) {
 		}
 	}
 	if d.err != nil {
-		return loop.DecisionRecord{}, d.err
+		return d.err
 	}
 	if d.off != len(payload) {
-		return loop.DecisionRecord{}, fmt.Errorf("ledger: decision record has %d trailing bytes", len(payload)-d.off)
+		return fmt.Errorf("ledger: decision record has %d trailing bytes", len(payload)-d.off)
 	}
-	return r, nil
+	return nil
 }
 
 // EncodeLineItem renders one billing line-item as its canonical payload.
@@ -325,17 +344,25 @@ func EncodeLineItem(it *LineItem) []byte {
 
 // DecodeLineItem parses a payload produced by EncodeLineItem.
 func DecodeLineItem(payload []byte) (LineItem, error) {
-	d := &decBuf{b: payload}
 	var it LineItem
+	if err := decodeLineItem(payload, false, &it); err != nil {
+		return LineItem{}, err
+	}
+	return it, nil
+}
+
+// decodeLineItem is DecodeLineItem into it; with skip it only validates.
+func decodeLineItem(payload []byte, skip bool, it *LineItem) error {
+	d := &decBuf{b: payload, skip: skip}
 	it.Tenant = d.str()
 	it.Interval = d.i64()
 	it.Container = d.str()
 	it.Cost = d.f64()
 	if d.err != nil {
-		return LineItem{}, d.err
+		return d.err
 	}
 	if d.off != len(payload) {
-		return LineItem{}, fmt.Errorf("ledger: line item has %d trailing bytes", len(payload)-d.off)
+		return fmt.Errorf("ledger: line item has %d trailing bytes", len(payload)-d.off)
 	}
-	return it, nil
+	return nil
 }

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -51,8 +52,10 @@ func TestDecodeRejectsNonCanonicalBool(t *testing.T) {
 }
 
 // FuzzDecodeDecision holds both record decoders to the codec's contract
-// on arbitrary payloads: decoding never panics, and a payload that decodes
-// re-encodes to exactly its own bytes.
+// on arbitrary payloads: decoding never panics, a payload that decodes
+// re-encodes to exactly its own bytes, and the skip-mode decode Open
+// validates with accepts and refuses exactly what the full decode does,
+// with the same error.
 func FuzzDecodeDecision(f *testing.F) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 16; i++ {
@@ -62,14 +65,62 @@ func FuzzDecodeDecision(f *testing.F) {
 		f.Add(EncodeLineItem(&it))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		if r, err := DecodeDecision(payload); err == nil {
+		r, err := DecodeDecision(payload)
+		if serr := decodeDecision(payload, true, new(loop.DecisionRecord)); fmt.Sprint(serr) != fmt.Sprint(err) {
+			t.Fatalf("decision: skip-mode decode says %v, full decode %v", serr, err)
+		}
+		if err == nil {
 			if got := EncodeDecision(&r); !bytes.Equal(got, payload) {
 				t.Fatalf("decision re-encodes to different bytes\nin  %x\nout %x", payload, got)
 			}
 		}
-		if it, err := DecodeLineItem(payload); err == nil {
+		it, err := DecodeLineItem(payload)
+		if serr := decodeLineItem(payload, true, new(LineItem)); fmt.Sprint(serr) != fmt.Sprint(err) {
+			t.Fatalf("line item: skip-mode decode says %v, full decode %v", serr, err)
+		}
+		if err == nil {
 			if got := EncodeLineItem(&it); !bytes.Equal(got, payload) {
 				t.Fatalf("line item re-encodes to different bytes\nin  %x\nout %x", payload, got)
+			}
+		}
+	})
+}
+
+// FuzzScanFrames holds Open's segment scan to the replay's on arbitrary
+// segment images: scanTail and scanFrames with Tail.visit agree on the
+// recovery point, the frame count, the error and the tail, from an empty
+// tail and from one a previous segment left. Tails are compared by
+// canonical encoding, which treats NaN bit patterns exactly.
+func FuzzScanFrames(f *testing.F) {
+	rng := rand.New(rand.NewSource(11))
+	for n := 0; n < 4; n++ {
+		image := headerBytes()
+		for i := 0; i < n; i++ {
+			r := randRecord(rng)
+			image = append(image, rawFrame(KindDecision, EncodeDecision(&r))...)
+			image = append(image, rawFrame(KindLineItem, EncodeLineItem(&LineItem{Tenant: r.Tenant, Interval: i}))...)
+		}
+		for _, cut := range []int{len(image), len(image) - 1, len(image) - 14, headerLen + 3, headerLen - 1} {
+			if cut >= 0 && cut <= len(image) {
+				f.Add(image[:cut])
+			}
+		}
+	}
+	f.Add(append(headerBytes(), rawFrame(KindDecision, []byte("x"))...))
+	f.Add(append(headerBytes(), rawFrame(9, []byte("from the future"))...))
+	prev := randRecord(rng)
+	f.Fuzz(func(t *testing.T, image []byte) {
+		for _, start := range []Tail{{}, {Last: &prev, Unbilled: true}} {
+			want := start
+			wantGood, wantFrames, wantErr := scanFrames("seg", image, want.visit)
+			got := start
+			good, frames, err := scanTail("seg", image, &got)
+			if good != wantGood || frames != wantFrames || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("scanTail: %d bytes, %d frames, %v; scanFrames: %d, %d, %v", good, frames, err, wantGood, wantFrames, wantErr)
+			}
+			if got.Unbilled != want.Unbilled || (got.Last == nil) != (want.Last == nil) ||
+				got.Last != nil && !recordsEqual(*got.Last, *want.Last) {
+				t.Fatalf("scanTail's tail %+v, scanFrames' %+v", got, want)
 			}
 		}
 	})

@@ -49,6 +49,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"daasscale/internal/fsio"
 	"daasscale/internal/loop"
@@ -183,14 +184,16 @@ func OpenWriterFS(fsys fsio.FS, path string, opts ...WriterOption) (*Writer, err
 // Open opens (or creates) the ledger at path for appending, in one pass
 // over its bytes: seals (its sealed segments in rotation order, from
 // ListDir) and then the active segment are each read once, and every
-// frame is CRC-checked, kind-checked and decoded. The returned Tail is the
-// end of the record stream — what a resuming caller needs instead of a
-// second replay. In the active segment a torn tail — an incomplete frame
-// or a checksum mismatch, as left by a crash mid-append — is truncated
-// away so appending resumes after the last intact record, and a torn
-// prefix of the header itself (a power cut during creation) is rewritten.
-// A file that is not a ledger (bad magic or version) or holds an
-// undecodable record is an error, never overwritten. Seals are only read.
+// frame is CRC-checked, kind-checked and validated exactly as a replay
+// would decode it, but only each segment's last decision is decoded. The
+// returned Tail is the end of the record stream — what a resuming caller
+// needs instead of a second replay. In the active segment a torn tail —
+// an incomplete frame or a checksum mismatch, as left by a crash
+// mid-append — is truncated away so appending resumes after the last
+// intact record, and a torn prefix of the header itself (a power cut
+// during creation) is rewritten. A file that is not a ledger (bad magic
+// or version) or holds an undecodable record is an error, never
+// overwritten. Seals are only read.
 func Open(fsys fsio.FS, path string, seals []string, opts ...WriterOption) (*Writer, Tail, error) {
 	// seals is copied: Rotate appends, and the caller's index keeps its own.
 	w := &Writer{fsys: fsys, path: path, syncEvery: 1, sealed: append([]string(nil), seals...)}
@@ -199,7 +202,11 @@ func Open(fsys fsio.FS, path string, seals []string, opts ...WriterOption) (*Wri
 	}
 	var tail Tail
 	for _, seg := range seals {
-		if _, _, err := scanFile(fsys, seg, tail.visit); err != nil {
+		data, err := fsys.ReadFile(seg)
+		if err != nil {
+			return nil, Tail{}, fmt.Errorf("ledger: %w", err)
+		}
+		if _, _, err := scanTail(seg, data, &tail); err != nil {
 			return nil, Tail{}, err
 		}
 	}
@@ -216,6 +223,10 @@ func Open(fsys fsio.FS, path string, seals []string, opts ...WriterOption) (*Wri
 	return w, tail, nil
 }
 
+// readBufs recycles recoverActive's read buffer (a *[]byte) across opens:
+// the image is only scanned, and nothing Open returns points into it.
+var readBufs sync.Pool
+
 // recoverActive reads the active segment through its append handle (one
 // sized read), repairs what a crash can leave, and positions f for
 // appending.
@@ -224,7 +235,13 @@ func (w *Writer) recoverActive(f fsio.File, tail *Tail) error {
 	if err != nil {
 		return fmt.Errorf("ledger: %w", err)
 	}
-	data := make([]byte, st.Size())
+	buf, _ := readBufs.Get().(*[]byte)
+	if buf == nil || int64(cap(*buf)) < st.Size() {
+		buf = new([]byte)
+		*buf = make([]byte, st.Size())
+	}
+	defer readBufs.Put(buf)
+	data := (*buf)[:st.Size()]
 	if _, err := io.ReadFull(f, data); err != nil {
 		return fmt.Errorf("ledger: %w", err)
 	}
@@ -248,7 +265,7 @@ func (w *Writer) recoverActive(f fsio.File, tail *Tail) error {
 		w.bytes = headerLen
 		return writeHeader(w.fsys, f, w.path)
 	}
-	good, records, err := scanFrames(w.path, data, tail.visit)
+	good, records, err := scanTail(w.path, data, tail)
 	if err != nil {
 		return err
 	}

@@ -7,9 +7,11 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"daasscale/internal/diskfaults"
+	"daasscale/internal/fsio"
 	"daasscale/internal/loop"
 )
 
@@ -330,5 +332,85 @@ func TestSyncSkipsCleanWriter(t *testing.T) {
 	}
 	if err := w.Sync(); err == nil {
 		t.Fatal("a poisoned writer's Sync returned nil")
+	}
+}
+
+// TestOpenAllocs pins what recovery costs the heap. Open validates every
+// frame without building a record for it and reads the active segment
+// into a recycled buffer, so a 300-decision, 300-line-item ledger opens in
+// a bounded handful of allocations — the writer and its file handle and
+// buffer, the last decision — not a record per frame (2,638 when every
+// frame was decoded).
+func TestOpenAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	path := filepath.Join(t.TempDir(), "t.ledger")
+	w, err := OpenWriterFS(fsio.OS, path, WithSyncEvery(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 300; i++ {
+		r := randRecord(rng)
+		if err := w.AppendDecision(r); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.AppendLineItem(LineItemFor(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(20, func() {
+		w, tail, err := Open(fsio.OS, path, nil)
+		if err != nil || w.Records() != 600 || tail.Last == nil || tail.Unbilled {
+			t.Fatalf("Open: %v, %d records, tail %+v", err, w.Records(), tail)
+		}
+		w.Close()
+	})
+	t.Logf("Open of a 600-frame ledger: %.0f allocations", got)
+	if got > 32 {
+		t.Fatalf("Open of a 600-frame ledger: %.0f allocations, want at most 32", got)
+	}
+}
+
+// TestOpenTailOwnsItsRecord: the active segment is read into a recycled
+// buffer, and the Tail Open returns must not point into it — opening a
+// second ledger right after leaves the first tail's record intact.
+func TestOpenTailOwnsItsRecord(t *testing.T) {
+	m, _ := memLedger(t)
+	rng := rand.New(rand.NewSource(43))
+	var recs []loop.DecisionRecord
+	for i, path := range []string{"/led/a.ledger", "/led/b.ledger"} {
+		r := randRecord(rng)
+		r.Tenant, r.Snapshot.Container = fmt.Sprintf("tenant-%d", i), fmt.Sprintf("B%d", i)
+		r.Explanations = []string{fmt.Sprintf("explanation %d", i)}
+		recs = append(recs, r)
+		w, err := OpenWriterFS(m, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.AppendDecision(r); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var tails []Tail
+	for _, path := range []string{"/led/a.ledger", "/led/b.ledger"} {
+		w, tail, err := Open(m, path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		tails = append(tails, tail)
+	}
+	for i, tail := range tails {
+		if tail.Last == nil || !recordsEqual(*tail.Last, recs[i]) || !reflect.DeepEqual(tail.Last.Explanations, recs[i].Explanations) {
+			t.Fatalf("tail %d is not the record it opened on: %+v", i, tail.Last)
+		}
 	}
 }

@@ -103,14 +103,14 @@ func (l *Log) Tail() Tail {
 	return t
 }
 
-// scanFrames walks the framed region of one segment image (read from
-// path), decoding each intact frame and handing it to visit. It is the
-// only frame reader: open, the query endpoints and ReplayFS all go through
-// it. It returns the byte offset just past the last intact frame and the
-// frame count. A bad header, an unknown record kind and an undecodable
-// payload are errors; a torn or checksum-failing tail simply ends the
-// scan — the returned offset is the recovery point.
-func scanFrames(path string, data []byte, visit func(Entry)) (good int64, frames int64, err error) {
+// walkFrames is the package's only frame reader: open, the query
+// endpoints and ReplayFS all go through it. It checks the header of one
+// segment image (read from path) and hands each intact frame to act. A bad
+// header, an unknown record kind and an error from act fail the walk; a
+// torn or checksum-failing tail simply ends it. It returns the byte offset
+// just past the last intact frame — the recovery point — and the frame
+// count.
+func walkFrames(path string, data []byte, act func(kind byte, payload []byte) error) (good int64, frames int64, err error) {
 	fail := func(err error) (int64, int64, error) {
 		return good, frames, fmt.Errorf("ledger: %s: %w", path, err)
 	}
@@ -140,35 +140,65 @@ func scanFrames(path string, data []byte, visit func(Entry)) (good int64, frames
 		if binary.LittleEndian.Uint32(rest[5+plen:]) != crc {
 			return good, frames, nil // checksum mismatch: treat as torn tail
 		}
-		switch kind {
-		case KindDecision:
-			r, err := DecodeDecision(payload)
-			if err != nil {
-				return fail(err)
-			}
-			visit(Entry{Kind: kind, Decision: &r})
-		case KindLineItem:
-			it, err := DecodeLineItem(payload)
-			if err != nil {
-				return fail(err)
-			}
-			visit(Entry{Kind: kind, Item: &it})
-		default:
+		if kind != KindDecision && kind != KindLineItem {
 			return fail(fmt.Errorf("unknown record kind %d (written by a newer version?)", kind))
+		}
+		if err := act(kind, payload); err != nil {
+			return fail(err)
 		}
 		good += int64(frameOverhead) + int64(plen)
 		frames++
 	}
 }
 
-// scanFile reads one segment file whole and scans it.
-func scanFile(fsys fsio.FS, path string, visit func(Entry)) (good int64, torn bool, err error) {
-	data, err := fsys.ReadFile(path)
-	if err != nil {
-		return 0, false, fmt.Errorf("ledger: %w", err)
+// scanFrames walks one segment image, decoding every frame and handing it
+// to visit: the replays' frame action.
+func scanFrames(path string, data []byte, visit func(Entry)) (good int64, frames int64, err error) {
+	return walkFrames(path, data, func(kind byte, payload []byte) error {
+		if kind == KindLineItem {
+			it, err := DecodeLineItem(payload)
+			if err != nil {
+				return err
+			}
+			visit(Entry{Kind: kind, Item: &it})
+			return nil
+		}
+		r, err := DecodeDecision(payload)
+		if err != nil {
+			return err
+		}
+		visit(Entry{Kind: kind, Decision: &r})
+		return nil
+	})
+}
+
+// scanTail walks one segment image for Open and advances tail over it
+// exactly as scanFrames with tail.visit would. Every frame is validated by
+// the decoders in skip mode, which accept what a full decode accepts and
+// allocate nothing; only the segment's last decision is decoded in full.
+func scanTail(path string, data []byte, tail *Tail) (good int64, frames int64, err error) {
+	var last []byte // payload of the last valid decision
+	good, frames, err = walkFrames(path, data, func(kind byte, payload []byte) error {
+		var err error
+		if kind == KindDecision {
+			if err = decodeDecision(payload, true, new(loop.DecisionRecord)); err == nil {
+				last = payload
+			}
+		} else {
+			err = decodeLineItem(payload, true, new(LineItem))
+		}
+		if err == nil {
+			tail.Unbilled = kind == KindDecision
+		}
+		return err
+	})
+	if last != nil {
+		tail.Last = new(loop.DecisionRecord)
+		if err := decodeDecision(last, false, tail.Last); err != nil {
+			return good, frames, fmt.Errorf("ledger: %s: %w", path, err) // unreachable: last was validated
+		}
 	}
-	good, _, err = scanFrames(path, data, visit)
-	return good, good < int64(len(data)), err
+	return good, frames, err
 }
 
 // ReplayFS lists path's directory for its sealed segments and replays the
@@ -210,32 +240,18 @@ func replaySegments(fsys fsio.FS, seals []string, active string) (*Log, error) {
 	return log, nil
 }
 
-// replaySegment decodes one segment file into the log.
+// replaySegment reads one segment file whole and decodes it into the log.
 func (l *Log) replaySegment(fsys fsio.FS, path string) error {
-	good, torn, err := scanFile(fsys, path, func(e Entry) { l.Entries = append(l.Entries, e) })
+	data, err := fsys.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("ledger: %w", err)
+	}
+	good, _, err := scanFrames(path, data, func(e Entry) { l.Entries = append(l.Entries, e) })
 	if err != nil {
 		return err
 	}
 	l.GoodBytes += good
-	l.Truncated = l.Truncated || torn
+	l.Truncated = l.Truncated || good < int64(len(data))
 	l.Segments++
 	return nil
-}
-
-// StreamBytes re-encodes the log's entries into the byte stream the live
-// writer framed, payloads only, in append order. Because the encoding is
-// deterministic this reproduces the originally-written payload bytes
-// exactly, so "replay is a prefix of the live stream" can be checked as
-// plain byte comparison even across segment rotations.
-func (l *Log) StreamBytes() []byte {
-	var out []byte
-	for _, e := range l.Entries {
-		switch {
-		case e.Decision != nil:
-			out = append(out, EncodeDecision(e.Decision)...)
-		case e.Item != nil:
-			out = append(out, EncodeLineItem(e.Item)...)
-		}
-	}
-	return out
 }
