@@ -1,35 +1,39 @@
 package daasscale_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
 
-// deadExportAllowlist names the exported package-level funcs under
-// internal/ that no shipped (non-test) file calls yet may stay. Every entry
-// carries one of three reasons:
+// deadAllowlist names the declarations under internal/ and cmd/ that no
+// shipped (non-test) file uses yet may stay, as "pkg.Name" or
+// "pkg.Type.Method", each with one of three reasons:
 //
-//   - root-bench: the paper-figure benches in bench_test.go call it; the
-//     reproduction code moves onto a shipped command when the benches do.
+//   - root-bench: the paper-figure benches in bench_test.go call it.
 //   - oracle: another package's test compares a shipped result against it.
-//   - test-seam: a test-only fault or fixture hook the production seam
-//     accepts (fsio.FS and friends) but nothing ships.
+//   - test-seam: a test-only fault or fixture hook that nothing ships.
 //
-// An entry whose func gains a shipped caller, or is deleted, fails the test
-// too, so the list only ever shrinks.
-var deadExportAllowlist = map[string]string{
+// An entry that gains a shipped user, or is deleted, fails the test too.
+var deadAllowlist = map[string]string{
 	"learned.Samples":          "root-bench",
 	"learned.GenerateDataset":  "root-bench",
 	"learned.Train":            "root-bench",
 	"learned.BalancedAccuracy": "root-bench",
+	"learned.Model.Classify":   "root-bench",
 	"policy.NewScheduled":      "root-bench",
 	"telemetry.SteadySignals":  "root-bench",
 	"trace.Diurnal":            "root-bench",
@@ -40,166 +44,187 @@ var deadExportAllowlist = map[string]string{
 	"stats.Spearman":           "oracle",
 	"diskfaults.NewMemFS":      "test-seam",
 	"diskfaults.MaskOf":        "test-seam",
+	"diskfaults.FS.Injected":   "test-seam",
+	"diskfaults.FS.Ops":        "test-seam",
+	"diskfaults.FS.PowerOn":    "test-seam",
+	"diskfaults.FS.SetPlan":    "test-seam",
+	"diskfaults.MemFS.Crash":   "test-seam",
+}
+
+// stdInterfaces are the stdlib interfaces (nil: all of the package's)
+// through which the standard library calls module methods that no module
+// file names. error and the Unwrap views errors.Is and errors.As take are
+// added to them; an interface declared in the module counts unlisted.
+var stdInterfaces = map[string][]string{
+	"fmt":           {"Stringer"},
+	"encoding":      {"BinaryMarshaler", "BinaryUnmarshaler", "TextMarshaler"},
+	"encoding/json": {"Marshaler", "Unmarshaler"},
+	"io/fs":         {"FileInfo", "DirEntry"},
+	"io":            nil,
+	"net/http":      {"Handler"},
 }
 
 const modulePath = "daasscale"
 
-// TestNoDeadExports fails when an exported package-level func declared in a
-// non-test file under internal/ is referenced by no non-test file in the
-// module (its own package counts) and is not allowlisted. Methods are out of
-// scope: resolving a selector to a method needs type information.
+// TestNoDeadExports fails when a package-level func, type, const or var, or a
+// method, declared in a non-test file under internal/ or cmd/ is used by no
+// non-test file in the module (its own package counts) and is not
+// allowlisted. benchmark/ and examples/ count as users but are not scanned.
 func TestNoDeadExports(t *testing.T) {
-	for name, reason := range deadExportAllowlist {
-		switch reason {
-		case "root-bench", "oracle", "test-seam":
-		default:
+	if len(deadAllowlist) > 20 {
+		t.Errorf("the allowlist holds %d entries, more than 20", len(deadAllowlist))
+	}
+	for name, reason := range deadAllowlist {
+		if reason != "root-bench" && reason != "oracle" && reason != "test-seam" {
 			t.Errorf("allowlist entry %s: unknown reason %q", name, reason)
 		}
 	}
-
-	dead, err := deadExports(".")
+	dead, err := deadDecls()
 	if err != nil {
 		t.Fatal(err)
 	}
-	isDead := make(map[string]bool, len(dead))
 	for _, name := range dead {
-		isDead[name] = true
-		if _, ok := deadExportAllowlist[name]; !ok {
-			t.Errorf("%s is exported but no non-test file references it: give it a shipped caller, unexport it or delete it", name)
+		if _, ok := deadAllowlist[name]; !ok {
+			t.Errorf("%s is declared but no non-test file uses it: give it a shipped user or delete it", name)
 		}
 	}
-	for name := range deadExportAllowlist {
-		if !isDead[name] {
-			t.Errorf("allowlist entry %s is stale: it has a shipped caller or no longer exists; drop the entry", name)
+	for name := range deadAllowlist {
+		if _, found := slices.BinarySearch(dead, name); !found {
+			t.Errorf("allowlist entry %s is stale: it has a shipped user or no longer exists; drop the entry", name)
 		}
 	}
 }
 
-// deadExports returns "pkg.Func" for every exported package-level func
-// declared in a non-test file under root/internal that no non-test file in
-// the module references, sorted.
-func deadExports(root string) ([]string, error) {
-	type pkgFile struct {
-		importPath string
-		file       *ast.File
-	}
-	var files []pkgFile
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if n := d.Name(); p != root && (strings.HasPrefix(n, ".") || n == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(p))
-		if err != nil {
-			return err
-		}
-		files = append(files, pkgFile{path.Join(modulePath, filepath.ToSlash(rel)), f})
-		return nil
-	})
+// deadDecls type-checks each module package's non-test files against the
+// export data go list leaves in the build cache and returns the unused
+// declarations under internal/ and cmd/, sorted. An imported object is not
+// its source declaration, so objects match by import path, receiver, name.
+func deadDecls() ([]string, error) {
+	out, err := exec.Command("go", "list", "-export", "-deps", "-json", "./...").Output()
 	if err != nil {
 		return nil, err
 	}
-
-	// Every exported package-level func under internal/, as
-	// "importpath.Func", and every module package's name.
-	internal := path.Join(modulePath, "internal") + "/"
-	pkgName := map[string]string{}
-	declared := map[string]bool{}
-	for _, pf := range files {
-		pkgName[pf.importPath] = pf.file.Name.Name
-		if !strings.HasPrefix(pf.importPath, internal) {
+	fset := token.NewFileSet()
+	exports := map[string]string{}
+	gc := importer.ForCompiler(fset, "gc", func(p string) (io.ReadCloser, error) { return os.Open(exports[p]) })
+	declared, used := map[string]types.Object{}, map[string]bool{}
+	ifaces := [][]string{{"Error"}, {"Unwrap"}} // method names
+	addIface := func(tn *types.TypeName) {
+		it := tn.Type().Underlying().(*types.Interface)
+		names := make([]string, it.NumMethods())
+		for i := range names {
+			names[i] = it.Method(i).Name()
+		}
+		ifaces = append(ifaces, names)
+	}
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var lp struct {
+			ImportPath, Dir, Export string
+			GoFiles                 []string
+			Module                  *struct{ Path string }
+		}
+		if err := dec.Decode(&lp); err != nil {
+			return nil, err
+		}
+		if exports[lp.ImportPath] = lp.Export; lp.Module == nil || lp.Module.Path != modulePath {
 			continue
 		}
-		for _, decl := range pf.file.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() {
-				declared[pf.importPath+"."+fn.Name.Name] = true
+		var files []*ast.File
+		for _, name := range lp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
+		pkg, err := (&types.Config{Importer: gc}).Check(lp.ImportPath, fset, files, info)
+		if err != nil {
+			return nil, err
+		}
+		// Uses also holds what every selector selects (Selections' objects),
+		// so a method reached through a value or an embedded field counts.
+		for _, obj := range info.Uses {
+			if k, ok := declKey(obj); ok {
+				used[k] = true
+			}
+		}
+		scanned := strings.HasPrefix(lp.ImportPath, modulePath+"/internal/") || strings.HasPrefix(lp.ImportPath, modulePath+"/cmd/")
+		for id, obj := range info.Defs {
+			if tn, ok := obj.(*types.TypeName); ok && tn.Parent() == pkg.Scope() && types.IsInterface(tn.Type()) {
+				addIface(tn)
+			}
+			if k, ok := declKey(obj); ok && scanned && id.Name != "main" && id.Name != "init" {
+				declared[k] = obj
 			}
 		}
 	}
 
-	used := map[string]bool{}
-	mark := func(importPath, name string) { used[importPath+"."+name] = true }
-	for _, pf := range files {
-		// Local names of the module packages this file imports.
-		local := map[string]string{}
-		for _, imp := range pf.file.Imports {
-			ip, err := strconv.Unquote(imp.Path.Value)
-			name, ok := pkgName[ip]
-			if err != nil || !ok {
-				continue
-			}
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			local[name] = ip
+	for p, names := range stdInterfaces {
+		pkg, err := gc.Import(p)
+		if err != nil {
+			continue // the module does not import p
 		}
-		ast.Inspect(pf.file, refVisitor(local, pf.importPath, mark))
+		if names == nil {
+			names = pkg.Scope().Names()
+		}
+		for _, name := range names {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() && types.IsInterface(tn.Type()) {
+				addIface(tn)
+			}
+		}
 	}
-
 	var dead []string
-	for key := range declared {
-		if !used[key] {
-			dot := strings.LastIndex(key, ".")
-			dead = append(dead, pkgName[key[:dot]]+key[dot:])
+	for k, obj := range declared {
+		if !used[k] && !implementsUse(obj, ifaces) {
+			dead = append(dead, path.Base(obj.Pkg().Path())+strings.TrimPrefix(k, obj.Pkg().Path()))
 		}
 	}
 	sort.Strings(dead)
 	return dead, nil
 }
 
-// refVisitor returns an ast.Inspect visitor that marks the func a selector
-// through an imported package, or a bare identifier in the func's own
-// package, refers to. Declared names, field names and selectors on values
-// are not references.
-func refVisitor(local map[string]string, self string, mark func(importPath, name string)) func(ast.Node) bool {
-	var visit func(ast.Node) bool
-	walk := func(n ast.Node) { ast.Inspect(n, visit) }
-	visit = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			if n.Recv != nil {
-				walk(n.Recv)
-			}
-			walk(n.Type)
-			if n.Body != nil {
-				walk(n.Body)
-			}
-			return false
-		case *ast.Field:
-			walk(n.Type)
-			return false
-		case *ast.SelectorExpr:
-			if x, ok := n.X.(*ast.Ident); ok {
-				if ip, ok := local[x.Name]; ok {
-					mark(ip, n.Sel.Name)
-					return false
-				}
-			}
-			walk(n.X)
-			return false
-		case *ast.KeyValueExpr:
-			if _, ok := n.Key.(*ast.Ident); !ok {
-				walk(n.Key)
-			}
-			walk(n.Value)
-			return false
-		case *ast.Ident:
-			mark(self, n.Name)
+// recvNamed returns the named type obj is a method of; nil when obj is no
+// method or an interface's.
+func recvNamed(obj types.Object) *types.Named {
+	if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+		rt := fn.Type().(*types.Signature).Recv().Type()
+		if p, ok := rt.(*types.Pointer); ok {
+			rt = p.Elem()
 		}
-		return true
+		if named, ok := rt.(*types.Named); ok && !types.IsInterface(named) {
+			return named
+		}
 	}
-	return visit
+	return nil
+}
+
+// declKey names an object of a module package: "importpath.Name" when it is
+// package-level, "importpath.Type.Method" when it is a method.
+func declKey(obj types.Object) (string, bool) {
+	if obj == nil || obj.Name() == "_" || obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path(), modulePath+"/") {
+		return "", false
+	}
+	if named := recvNamed(obj); named != nil {
+		return obj.Pkg().Path() + "." + named.Obj().Name() + "." + obj.Name(), true
+	}
+	return obj.Pkg().Path() + "." + obj.Name(), obj.Parent() == obj.Pkg().Scope()
+}
+
+// implementsUse reports whether obj is a method whose receiver implements an
+// interface that declares the method, judged by method names: that covers a
+// generic interface too, whose instances need not appear in the source.
+func implementsUse(obj types.Object, ifaces [][]string) bool {
+	named := recvNamed(obj)
+	if named == nil {
+		return false
+	}
+	ms := types.NewMethodSet(types.NewPointer(named))
+	missing := func(name string) bool { return ms.Lookup(obj.Pkg(), name) == nil }
+	for _, names := range ifaces {
+		if slices.Contains(names, obj.Name()) && !slices.ContainsFunc(names, missing) {
+			return true
+		}
+	}
+	return false
 }

@@ -196,9 +196,6 @@ func (s Stats) MeanEffectIntervals() float64 {
 	return float64(s.SumEffectIntervals) / float64(s.Applied)
 }
 
-// Failed is the total number of failed attempts, however they failed.
-func (s Stats) Failed() int { return s.Throttled + s.TransientFailures + s.Refused }
-
 // String summarizes the counters in one line.
 func (s Stats) String() string {
 	var b strings.Builder
@@ -265,21 +262,9 @@ func New[T comparable](cfg Config, streamSeed int64, current T) *Actuator[T] {
 // Stats returns the actuation counters so far.
 func (a *Actuator[T]) Stats() Stats { return a.stats }
 
-// Actual is the substrate state the actuator last saw applied.
-func (a *Actuator[T]) Actual() T { return a.actual }
-
 // Settled reports whether the actuator has nothing left to do: the actual
 // state matches the desired one and no operation is in flight.
 func (a *Actuator[T]) Settled() bool { return a.op == nil && a.desired == a.actual }
-
-// Pending returns the in-flight operation's idempotency key and target.
-func (a *Actuator[T]) Pending() (key string, target T, ok bool) {
-	if a.op == nil {
-		var zero T
-		return "", zero, false
-	}
-	return a.op.key, a.op.target, true
-}
 
 // Submit records the latest desired target — a desired-state write, not a
 // command. Re-submitting the current desired target is an idempotent

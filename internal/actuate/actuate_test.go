@@ -311,24 +311,23 @@ func TestActuationDeterministicStats(t *testing.T) {
 // visible while the operation is in flight.
 func TestActuationPendingKey(t *testing.T) {
 	a := New(Config{LatencyIntervals: 3}, 1, "small")
-	if _, _, ok := a.Pending(); ok {
+	if a.op != nil {
 		t.Error("no op must be pending before any submit")
 	}
 	a.Submit("large")
 	if err := a.Step(0, func(string) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	k1, target, ok := a.Pending()
-	if !ok || target != "large" || k1 == "" {
-		t.Fatalf("pending = %q %q %v", k1, target, ok)
+	if a.op == nil || a.op.target != "large" || a.op.key == "" {
+		t.Fatalf("pending op = %+v", a.op)
 	}
+	k1 := a.op.key
 	a.Submit("medium")
 	if err := a.Step(1, func(string) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	k2, _, ok := a.Pending()
-	if !ok || k2 == k1 {
-		t.Fatalf("superseding op must get a fresh idempotency key: %q vs %q", k1, k2)
+	if a.op == nil || a.op.key == k1 {
+		t.Fatalf("superseding op must get a fresh idempotency key: %q vs %+v", k1, a.op)
 	}
 }
 

@@ -144,18 +144,3 @@ func (m *Manager) Charge(cost float64) error {
 
 // Spent returns the total charged so far in the period.
 func (m *Manager) Spent() float64 { return m.spent }
-
-// Interval returns the number of completed billing intervals.
-func (m *Manager) Interval() int { return m.interval }
-
-// Total returns the period budget B (+Inf for Unlimited).
-func (m *Manager) Total() float64 { return m.total }
-
-// FillRate returns TR.
-func (m *Manager) FillRate() float64 { return m.fill }
-
-// Depth returns D.
-func (m *Manager) Depth() float64 { return m.depth }
-
-// Remaining returns the budget not yet spent.
-func (m *Manager) Remaining() float64 { return m.total - m.spent }

@@ -44,11 +44,11 @@ func TestAggressiveInitialization(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantDepth := 1000 - 9*7.0
-	if m.Depth() != wantDepth {
-		t.Errorf("depth = %v, want %v", m.Depth(), wantDepth)
+	if m.depth != wantDepth {
+		t.Errorf("depth = %v, want %v", m.depth, wantDepth)
 	}
-	if m.FillRate() != 7 {
-		t.Errorf("fill = %v, want 7", m.FillRate())
+	if m.fill != 7 {
+		t.Errorf("fill = %v, want 7", m.fill)
 	}
 	if m.Available() != wantDepth {
 		t.Errorf("initial tokens = %v, want full bucket %v", m.Available(), wantDepth)
@@ -64,7 +64,7 @@ func TestConservativeInitialization(t *testing.T) {
 	if m.Available() != 540 {
 		t.Errorf("initial tokens = %v, want 540", m.Available())
 	}
-	if got, want := m.FillRate(), (2000.0-540)/10; math.Abs(got-want) > 1e-9 {
+	if got, want := m.fill, (2000.0-540)/10; math.Abs(got-want) > 1e-9 {
 		t.Errorf("fill = %v, want %v", got, want)
 	}
 }
@@ -75,12 +75,12 @@ func TestConservativeClampsInitialTokens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Available() > m.Depth() {
-		t.Errorf("initial tokens %v above depth %v", m.Available(), m.Depth())
+	if m.Available() > m.depth {
+		t.Errorf("initial tokens %v above depth %v", m.Available(), m.depth)
 	}
 	// Fill must still cover the cheapest container.
-	if m.FillRate() < 7 {
-		t.Errorf("fill %v below cmin", m.FillRate())
+	if m.fill < 7 {
+		t.Errorf("fill %v below cmin", m.fill)
 	}
 }
 
@@ -110,8 +110,8 @@ func TestBudgetNeverExceededAggressive(t *testing.T) {
 	if m.Spent() > B+1e-9 {
 		t.Errorf("spent %v exceeds budget %v", m.Spent(), B)
 	}
-	if m.Interval() != n {
-		t.Errorf("intervals = %d", m.Interval())
+	if m.interval != n {
+		t.Errorf("intervals = %d", m.interval)
 	}
 }
 
@@ -240,7 +240,7 @@ func TestBudgetInvariantProperty(t *testing.T) {
 func TestRemaining(t *testing.T) {
 	m, _ := New(Aggressive, 500, 10, 7, 270, 0)
 	m.Charge(100)
-	if got := m.Remaining(); got != 400 {
+	if got := m.total - m.spent; got != 400 {
 		t.Errorf("remaining = %v", got)
 	}
 }

@@ -244,9 +244,6 @@ func (a *AutoScaler) ForceContainer(c resource.Container) {
 	a.downStreak = 0
 }
 
-// Budget returns the budget manager in use.
-func (a *AutoScaler) Budget() *budget.Manager { return a.bud }
-
 // latencyState categorizes latency: BAD when the windowed median violates
 // the goal, or — the fast path for burst onsets — when the two most recent
 // intervals both violate it (one interval alone is treated as noise).

@@ -86,7 +86,7 @@ func TestDefaults(t *testing.T) {
 	if a.Container().Name != "C0" {
 		t.Errorf("initial container = %s, want smallest", a.Container().Name)
 	}
-	if a.Budget() == nil || a.Budget().Available() == 0 {
+	if a.bud == nil || a.bud.Available() == 0 {
 		t.Error("default budget should be unlimited")
 	}
 }
@@ -192,7 +192,8 @@ func TestScaleDownBlockedWithoutLatencyHeadroom(t *testing.T) {
 }
 
 func TestBudgetConstrainsScaleUp(t *testing.T) {
-	bud, err := budget.New(budget.Aggressive, 80*7+30, 80, 7, 270, 0)
+	const total = 80*7 + 30
+	bud, err := budget.New(budget.Aggressive, total, 80, 7, 270, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,8 +214,8 @@ func TestBudgetConstrainsScaleUp(t *testing.T) {
 	if !constrained {
 		t.Error("budget should have constrained the scale-up at some point")
 	}
-	if a.Budget().Spent() > a.Budget().Total() {
-		t.Errorf("budget exceeded: %v > %v", a.Budget().Spent(), a.Budget().Total())
+	if bud.Spent() > total {
+		t.Errorf("budget exceeded: %v > %v", bud.Spent(), total)
 	}
 }
 

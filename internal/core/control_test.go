@@ -186,8 +186,11 @@ func TestSensitivityMarginDefaults(t *testing.T) {
 
 func TestWindowConfigurationRespected(t *testing.T) {
 	a := mustScaler(t, Config{Window: 8})
-	if a.tm.Window() != 8 {
-		t.Errorf("telemetry window = %d, want 8", a.tm.Window())
+	for i := 0; i < 12; i++ {
+		a.tm.Observe(telemetry.Snapshot{Interval: i})
+	}
+	if sig, _ := a.tm.Signals(); sig.Quality.IntervalsSeen != 8 {
+		t.Errorf("telemetry window = %d, want 8", sig.Quality.IntervalsSeen)
 	}
 }
 

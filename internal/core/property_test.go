@@ -24,8 +24,9 @@ func TestAutoScalerInvariantsProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		const intervals = 120
 		var bud *budget.Manager
+		var total float64
 		if budgeted {
-			total := float64(intervals)*cat.Smallest().Cost + rng.Float64()*5000
+			total = float64(intervals)*cat.Smallest().Cost + rng.Float64()*5000
 			var err error
 			bud, err = budget.New(budget.Aggressive, total, intervals, cat.Smallest().Cost, cat.Largest().Cost, 0)
 			if err != nil {
@@ -48,10 +49,6 @@ func TestAutoScalerInvariantsProperty(t *testing.T) {
 		})
 		if err != nil {
 			return false
-		}
-		names := map[string]bool{}
-		for _, c := range cat.Containers() {
-			names[c.Name] = true
 		}
 		prevStep := a.Container().Step
 		for i := 0; i < intervals; i++ {
@@ -79,7 +76,7 @@ func TestAutoScalerInvariantsProperty(t *testing.T) {
 
 			d := a.Observe(s)
 			got := a.Container()
-			if !names[got.Name] {
+			if _, ok := cat.ByName(got.Name); !ok {
 				t.Logf("container %q not in catalog", got.Name)
 				return false
 			}
@@ -96,8 +93,8 @@ func TestAutoScalerInvariantsProperty(t *testing.T) {
 			}
 			prevStep = got.Step
 		}
-		if bud != nil && bud.Spent() > bud.Total()+1e-6 {
-			t.Logf("budget exceeded: %v > %v", bud.Spent(), bud.Total())
+		if bud != nil && bud.Spent() > total+1e-6 {
+			t.Logf("budget exceeded: %v > %v", bud.Spent(), total)
 			return false
 		}
 		return true

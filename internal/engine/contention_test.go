@@ -99,12 +99,12 @@ func TestContentionInflatesTargetedWaits(t *testing.T) {
 func TestContentionNormalized(t *testing.T) {
 	e := mustEngine(t, workload.DS2(), cat.AtStep(4), 5)
 	e.SetContention(Contention{CPU: 0.25, Memory: -3})
-	if got := e.ContentionMultipliers(); got != NoContention() {
+	if got := e.contention; got != NoContention() {
 		t.Fatalf("sub-identity multipliers not lifted: %+v", got)
 	}
 	e.SetContention(Contention{CPU: 2, Memory: 0, LogIO: 1.5})
 	want := Contention{CPU: 2, Memory: 1, LogIO: 1.5}
-	if got := e.ContentionMultipliers(); got != want {
+	if got := e.contention; got != want {
 		t.Fatalf("partial lift wrong: got %+v want %+v", got, want)
 	}
 }
@@ -116,16 +116,16 @@ func TestMigrateRestart(t *testing.T) {
 	for i := 0; i < 3*e.TicksPerInterval(); i++ {
 		e.Tick(300)
 	}
-	warm := e.MemoryUsedMB()
+	warm := e.usedMB
 	if warm <= e.opts.ColdCacheMB {
 		t.Fatalf("engine never warmed past the cold floor (%v <= %v); test needs a warm pool", warm, e.opts.ColdCacheMB)
 	}
 	e.MigrateRestart()
-	if got := e.MemoryUsedMB(); got != e.opts.ColdCacheMB {
+	if got := e.usedMB; got != e.opts.ColdCacheMB {
 		t.Fatalf("migration restart left %v MB warm, want cold floor %v", got, e.opts.ColdCacheMB)
 	}
 	e.MigrateRestart()
-	if got := e.MemoryUsedMB(); got > e.opts.ColdCacheMB {
+	if got := e.usedMB; got > e.opts.ColdCacheMB {
 		t.Fatalf("second restart added warmth: %v", got)
 	}
 }

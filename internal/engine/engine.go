@@ -202,12 +202,6 @@ type Engine struct {
 	intervalIndex int
 	tick          int
 
-	// lastWaitMs holds the per-class wait totals of the most recently
-	// completed interval. The per-wait-type breakdown a real DBMS would
-	// report is derived from it on demand (VisitLastIntervalWaitTypes), so
-	// closing an interval allocates and fills no map.
-	lastWaitMs [telemetry.NumWaitClasses]float64
-
 	acc intervalAccumulator
 }
 
@@ -281,9 +275,6 @@ func New(w *workload.Workload, cont resource.Container, seed int64, opts Options
 // Container returns the current container.
 func (e *Engine) Container() resource.Container { return e.cont }
 
-// Workload returns the workload the engine runs.
-func (e *Engine) Workload() *workload.Workload { return e.w }
-
 // SetContainer resizes the container (an online operation in the DaaS).
 // Shrinking memory evicts cache immediately; growing memory requires the
 // cache to re-warm through physical reads.
@@ -299,9 +290,6 @@ func (e *Engine) SetContainer(c resource.Container) {
 // the serial apply phase, with the hosting node's inflation; multipliers
 // below 1 (including the zero value) are lifted to the identity.
 func (e *Engine) SetContention(c Contention) { e.contention = c.normalized() }
-
-// ContentionMultipliers returns the active multiplier set.
-func (e *Engine) ContentionMultipliers() Contention { return e.contention }
 
 // MigrateRestart models the buffer-pool consequence of migrating the
 // tenant to another node: the cache restarts cold and must re-warm
@@ -321,22 +309,12 @@ func (e *Engine) SetMemoryTargetMB(mb float64) { e.memTargetMB = mb }
 // MemoryTargetMB returns the current ballooning target (0 when none).
 func (e *Engine) MemoryTargetMB() float64 { return e.memTargetMB }
 
-// MemoryUsedMB returns the memory currently in use (dominated by caches).
-func (e *Engine) MemoryUsedMB() float64 { return e.usedMB }
-
 // IntervalLatencies returns the latency samples recorded since the last
 // EndInterval, in generation order — the one way to collect them: run-level
 // collectors copy the slice once per interval, before EndInterval. The
 // slice aliases the engine's internal buffer: it is valid only until the
 // next Tick, TickBatch or EndInterval call and must not be mutated.
 func (e *Engine) IntervalLatencies() []float64 { return e.acc.latSamples }
-
-// SheddedWork reports the cumulative work shed because a resource backlog
-// exceeded its cap (CPU core-ms, disk I/Os, log KB) — the engine's stand-in
-// for request timeouts under sustained overload.
-func (e *Engine) SheddedWork() (cpuMs, ioOps, logKB float64) {
-	return e.sheddedCPUms, e.sheddedIOOps, e.sheddedLogKB
-}
 
 // TicksPerInterval returns the configured interval length in ticks.
 func (e *Engine) TicksPerInterval() int { return e.opts.TicksPerInterval }
@@ -404,26 +382,7 @@ func (e *Engine) EndInterval() telemetry.Snapshot {
 		// unordered variant's sampled bracket and Hoare partition apply.
 		s.P95LatencyMs = stats.QuantileSelectUnordered(a.latSamples, 0.95)
 	}
-	// Keep the interval's per-class wait totals so the raw per-wait-type
-	// view a real DBMS reports (Section 3.1 of the paper) can be derived
-	// on demand by VisitLastIntervalWaitTypes.
-	// Closing an interval used to clear and refill a 28-entry scratch map
-	// here for every tenant whether or not anyone read it; the cluster hot
-	// path now just copies this array.
-	e.lastWaitMs = a.waitMs
-
 	e.acc.reset()
 	e.intervalIndex++
 	return s
-}
-
-// VisitLastIntervalWaitTypes calls fn once per wait type with that type's
-// share of the most recently completed interval's waits — the raw-telemetry
-// view a production DBMS exposes, in deterministic catalog order, with zero
-// allocation. telemetry.AggregateWaitTypes folds it back into the classes
-// the snapshot carries. Before the first EndInterval it visits nothing.
-func (e *Engine) VisitLastIntervalWaitTypes(fn func(telemetry.WaitType, float64)) {
-	for _, class := range telemetry.WaitClasses {
-		telemetry.VisitClassWaits(class, e.lastWaitMs[class], fn)
-	}
 }

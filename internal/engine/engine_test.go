@@ -237,22 +237,22 @@ func TestBallooningTargetClampsMemory(t *testing.T) {
 	w := workload.CPUIO(workload.CPUIOConfig{CPUWeight: 1, IOWeight: 1, WorkingSetMB: 2048, HotspotFraction: 0.95})
 	e := mustEngine(t, w, cat.AtStep(3), 10)
 	runIntervals(e, 60, 25) // warm up
-	if e.MemoryUsedMB() < 2000 {
-		t.Fatalf("not warm: %v", e.MemoryUsedMB())
+	if e.usedMB < 2000 {
+		t.Fatalf("not warm: %v", e.usedMB)
 	}
 	e.SetMemoryTargetMB(1500)
 	if got := e.MemoryTargetMB(); got != 1500 {
 		t.Fatalf("target = %v", got)
 	}
 	runIntervals(e, 60, 1)
-	if e.MemoryUsedMB() > 1500 {
-		t.Errorf("balloon target not enforced: used %v", e.MemoryUsedMB())
+	if e.usedMB > 1500 {
+		t.Errorf("balloon target not enforced: used %v", e.usedMB)
 	}
 	// Removing the target lets the cache grow back.
 	e.SetMemoryTargetMB(0)
 	runIntervals(e, 60, 25)
-	if e.MemoryUsedMB() < 1900 {
-		t.Errorf("cache should re-warm after balloon release: %v", e.MemoryUsedMB())
+	if e.usedMB < 1900 {
+		t.Errorf("cache should re-warm after balloon release: %v", e.usedMB)
 	}
 }
 
@@ -342,10 +342,10 @@ func TestNoiseInjection(t *testing.T) {
 func TestSetContainerGrowKeepsCache(t *testing.T) {
 	e := mustEngine(t, workload.DS2(), cat.AtStep(2), 16)
 	runIntervals(e, 60, 20)
-	used := e.MemoryUsedMB()
+	used := e.usedMB
 	e.SetContainer(cat.AtStep(6))
-	if e.MemoryUsedMB() != used {
-		t.Errorf("growing the container should keep the cache: %v → %v", used, e.MemoryUsedMB())
+	if e.usedMB != used {
+		t.Errorf("growing the container should keep the cache: %v → %v", used, e.usedMB)
 	}
 	if e.Container().Name != "C6" {
 		t.Errorf("container = %s", e.Container().Name)

@@ -187,8 +187,8 @@ func (tr kernelTrial) run(t *testing.T, feed func(*Engine, []float64)) string {
 		feed(e, loads)
 		dumpExact(&b, reflect.ValueOf(e.IntervalLatencies()))
 		dumpExact(&b, reflect.ValueOf(e.EndInterval()))
-		cpuMs, ioOps, logKB := e.SheddedWork()
-		dumpExact(&b, reflect.ValueOf([4]float64{cpuMs, ioOps, logKB, e.MemoryUsedMB()}))
+		cpuMs, ioOps, logKB := e.sheddedCPUms, e.sheddedIOOps, e.sheddedLogKB
+		dumpExact(&b, reflect.ValueOf([4]float64{cpuMs, ioOps, logKB, e.usedMB}))
 		b.WriteByte('\n')
 	}
 	return b.String()

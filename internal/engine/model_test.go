@@ -108,13 +108,13 @@ func TestSheddedWorkAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c, i, l := e.SheddedWork(); c != 0 || i != 0 || l != 0 {
+	if c, i, l := e.sheddedCPUms, e.sheddedIOOps, e.sheddedLogKB; c != 0 || i != 0 || l != 0 {
 		t.Fatal("fresh engine should have shed nothing")
 	}
 	for k := 0; k < 5*e.TicksPerInterval(); k++ {
 		e.Tick(2000) // far past C0's capacity in every dimension
 	}
-	cpuMs, ioOps, logKB := e.SheddedWork()
+	cpuMs, ioOps, logKB := e.sheddedCPUms, e.sheddedIOOps, e.sheddedLogKB
 	if cpuMs <= 0 || ioOps <= 0 || logKB <= 0 {
 		t.Errorf("sustained overload should shed work on every queue: %v %v %v", cpuMs, ioOps, logKB)
 	}
@@ -227,11 +227,9 @@ func TestBallooningTargetAboveAllocHarmless(t *testing.T) {
 	}
 }
 
-func TestRawWaitTypesRoundTrip(t *testing.T) {
-	// The engine's raw per-type telemetry must fold back into exactly the
-	// per-class totals its snapshot reports (the Section 3.1 mapping).
-	s := steadySnapshot(t, workload.TPCC(), 2, 150, 3)
-	_ = s
+// TestTPCCLockWaitsUnderLoad: lock waits dominate TPC-C at load, so the
+// snapshot's lock class carries most of the interval's waits.
+func TestTPCCLockWaitsUnderLoad(t *testing.T) {
 	e, err := New(workload.TPCC(), cat.AtStep(2), 33, Options{NoiseProb: -1, WarmStart: true})
 	if err != nil {
 		t.Fatal(err)
@@ -240,25 +238,8 @@ func TestRawWaitTypesRoundTrip(t *testing.T) {
 		e.Tick(150)
 	}
 	snap := e.EndInterval()
-	byType := lastWaitTypes(e)
-	if len(byType) == 0 {
-		t.Fatal("no raw wait types emitted")
-	}
-	agg := telemetry.AggregateWaitTypes(byType)
-	for _, class := range telemetry.WaitClasses {
-		if diff := math.Abs(agg[class] - snap.WaitMs[class]); diff > 1e-6*(1+snap.WaitMs[class]) {
-			t.Errorf("%v: aggregated %v vs snapshot %v", class, agg[class], snap.WaitMs[class])
-		}
-	}
-	// Lock waits dominate TPC-C at load, so LCK_* types must be present.
-	var lck float64
-	for wt, ms := range byType {
-		if telemetry.ClassifyWaitType(wt) == telemetry.WaitLock {
-			lck += ms
-		}
-	}
-	if lck == 0 {
-		t.Error("expected LCK_* wait types for TPC-C under load")
+	if share := snap.WaitMs[telemetry.WaitLock] / snap.TotalWaitMs(); !(share > 0.5) {
+		t.Errorf("lock-wait share = %v of %v ms, want a majority", share, snap.TotalWaitMs())
 	}
 }
 

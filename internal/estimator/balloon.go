@@ -107,9 +107,6 @@ func NewBalloon(cfg BalloonConfig) *Balloon {
 	return &Balloon{cfg: cfg}
 }
 
-// State returns the current phase.
-func (b *Balloon) State() BalloonState { return b.state }
-
 // TargetMB returns the active memory target (0 when idle).
 func (b *Balloon) TargetMB() float64 { return b.targetMB }
 

@@ -45,8 +45,8 @@ func TestBalloonStartsOnlyWhenSafe(t *testing.T) {
 	if d.TargetMB <= 0 || d.TargetMB >= 4000 {
 		t.Fatalf("probe target = %v", d.TargetMB)
 	}
-	if b.State() != BalloonActive {
-		t.Errorf("state = %v", b.State())
+	if b.state != BalloonActive {
+		t.Errorf("state = %v", b.state)
 	}
 }
 
@@ -69,8 +69,8 @@ func TestBalloonSucceedsWithoutIOIncrease(t *testing.T) {
 			t.Fatal("probe never concluded")
 		}
 	}
-	if b.State() != BalloonCooldown {
-		t.Errorf("state after success = %v", b.State())
+	if b.state != BalloonCooldown {
+		t.Errorf("state after success = %v", b.state)
 	}
 	if b.TargetMB() != 0 {
 		t.Errorf("target not cleared: %v", b.TargetMB())
@@ -91,8 +91,8 @@ func TestBalloonAbortsOnIOIncrease(t *testing.T) {
 	if d.TargetMB != 0 {
 		t.Errorf("abort must clear the target: %v", d.TargetMB)
 	}
-	if b.State() != BalloonCooldown {
-		t.Errorf("state after abort = %v", b.State())
+	if b.state != BalloonCooldown {
+		t.Errorf("state after abort = %v", b.state)
 	}
 }
 

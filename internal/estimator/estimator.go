@@ -50,24 +50,6 @@ func (d Demand) MaxStep() int {
 	return m
 }
 
-// AllLow reports whether every resource's demand estimate is a scale-down
-// (every step is −1... except memory, which can only be scaled down via
-// ballooning, so a 0 memory step is accepted).
-func (d Demand) AllLow() bool {
-	for k, s := range d.Steps {
-		if resource.Kind(k) == resource.Memory {
-			if s > 0 {
-				return false
-			}
-			continue
-		}
-		if s >= 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // AnyHigh reports whether any resource shows high demand.
 func (d Demand) AnyHigh() bool { return d.MaxStep() > 0 }
 
@@ -85,12 +67,6 @@ func New(th Thresholds, sens Sensitivity) (*Estimator, error) {
 	}
 	return &Estimator{th: th, sens: sens}, nil
 }
-
-// Thresholds returns the active thresholds.
-func (e *Estimator) Thresholds() Thresholds { return e.th }
-
-// Sensitivity returns the configured sensitivity.
-func (e *Estimator) Sensitivity() Sensitivity { return e.sens }
 
 // classify reduces one resource's signals to the categorical domain.
 func (e *Estimator) classify(k resource.Kind, sig *telemetry.Signals) ResourceState {

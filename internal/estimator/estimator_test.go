@@ -217,9 +217,6 @@ func TestLowDemandScaleDown(t *testing.T) {
 	if d.Steps[resource.Memory] != 0 {
 		t.Errorf("memory must not scale down without ballooning: %v", d.Steps)
 	}
-	if !d.AllLow() {
-		t.Errorf("AllLow should hold: %+v", d.Steps)
-	}
 }
 
 func TestScaleDownBlockedByRisingTrend(t *testing.T) {
@@ -295,15 +292,5 @@ func TestStatesExposed(t *testing.T) {
 	}
 	if st.Kind != resource.CPU {
 		t.Errorf("state kind = %v", st.Kind)
-	}
-}
-
-func TestAccessors(t *testing.T) {
-	e := mustEstimator(t, SensitivityHigh)
-	if e.Sensitivity() != SensitivityHigh {
-		t.Error("sensitivity accessor wrong")
-	}
-	if e.Thresholds().UtilHigh != DefaultThresholds().UtilHigh {
-		t.Error("thresholds accessor wrong")
 	}
 }

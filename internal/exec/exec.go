@@ -132,9 +132,6 @@ func NewPool(opts Options) *Pool {
 	return &Pool{workers: w, onProg: opts.OnProgress, every: every, timeout: opts.TaskTimeout}
 }
 
-// Workers returns the resolved pool width.
-func (p *Pool) Workers() int { return p.workers }
-
 // Run executes task(ctx, i) for every i in [0, n) across the pool's workers
 // and blocks until all of them finished or the context was canceled. Work
 // is distributed by an atomic counter, so no task list is materialized and

@@ -235,29 +235,6 @@ func (f *Fabric) Place(tenantID string, c resource.Container) error {
 	return nil
 }
 
-// Remove evicts a tenant from the cluster.
-func (f *Fabric) Remove(tenantID string) error {
-	idx, ok := f.placement[tenantID]
-	if !ok {
-		return fmt.Errorf("fabric: tenant %q not placed", tenantID)
-	}
-	c := f.servers[idx].tenants[tenantID]
-	delete(f.servers[idx].tenants, tenantID)
-	f.servers[idx].alloc = f.servers[idx].alloc.Sub(c.Alloc)
-	delete(f.placement, tenantID)
-	return nil
-}
-
-// Container returns the tenant's current container.
-func (f *Fabric) Container(tenantID string) (resource.Container, bool) {
-	idx, ok := f.placement[tenantID]
-	if !ok {
-		return resource.Container{}, false
-	}
-	c, ok := f.servers[idx].tenants[tenantID]
-	return c, ok
-}
-
 // Resize executes a container resize: in place when the hosting server has
 // headroom for the delta, otherwise by migrating the tenant to a server
 // that can host the new container. Returns whether a migration happened.

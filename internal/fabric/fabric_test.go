@@ -14,6 +14,30 @@ var cat = resource.LockStepCatalog()
 // serverCap is a 32-core box matching the largest container.
 var serverCap = cat.Largest().Alloc
 
+// remove evicts a tenant from the cluster: the departures of the churn
+// tests. The shipped simulators never remove a tenant.
+func (f *Fabric) remove(tenantID string) error {
+	idx, ok := f.placement[tenantID]
+	if !ok {
+		return fmt.Errorf("fabric: tenant %q not placed", tenantID)
+	}
+	c := f.servers[idx].tenants[tenantID]
+	delete(f.servers[idx].tenants, tenantID)
+	f.servers[idx].alloc = f.servers[idx].alloc.Sub(c.Alloc)
+	delete(f.placement, tenantID)
+	return nil
+}
+
+// container returns the tenant's current container.
+func (f *Fabric) container(tenantID string) (resource.Container, bool) {
+	idx, ok := f.placement[tenantID]
+	if !ok {
+		return resource.Container{}, false
+	}
+	c, ok := f.servers[idx].tenants[tenantID]
+	return c, ok
+}
+
 func mustFabric(t *testing.T, n int, policy PlacementPolicy) *Fabric {
 	t.Helper()
 	f, err := New(n, serverCap, policy)
@@ -53,7 +77,7 @@ func TestPlaceAndLookup(t *testing.T) {
 	if !ok || s.ID != 0 {
 		t.Errorf("t1 on server %+v", s)
 	}
-	c, ok := f.Container("t1")
+	c, ok := f.container("t1")
 	if !ok || c.Name != "C4" {
 		t.Errorf("container = %v", c)
 	}
@@ -108,7 +132,7 @@ func TestResizeInPlace(t *testing.T) {
 	if err != nil || migrated {
 		t.Fatalf("in-place resize: migrated=%v err=%v", migrated, err)
 	}
-	if c, _ := f.Container("t1"); c.Name != "C5" {
+	if c, _ := f.container("t1"); c.Name != "C5" {
 		t.Errorf("container = %s", c.Name)
 	}
 	if f.Migrations() != 0 {
@@ -162,7 +186,7 @@ func TestResizeRefusedKeepsContainer(t *testing.T) {
 	if _, err := f.Resize("ghost", cat.AtStep(1)); err == nil || errors.Is(err, ErrRefused) {
 		t.Errorf("unplaced-tenant resize must fail without ErrRefused, got %v", err)
 	}
-	if c, _ := f.Container("c"); c.Name != "C2" {
+	if c, _ := f.container("c"); c.Name != "C2" {
 		t.Errorf("refused resize must keep the container, got %s", c.Name)
 	}
 	if f.Refusals() != 1 {
@@ -185,10 +209,10 @@ func TestShrinkAlwaysInPlace(t *testing.T) {
 func TestRemove(t *testing.T) {
 	f := mustFabric(t, 1, FirstFit)
 	f.Place("t", cat.AtStep(4))
-	if err := f.Remove("t"); err != nil {
+	if err := f.remove("t"); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Remove("t"); err == nil {
+	if err := f.remove("t"); err == nil {
 		t.Error("double remove should fail")
 	}
 	if f.Servers()[0].TenantCount() != 0 {
@@ -248,7 +272,7 @@ func TestFabricInvariantUnderRandomChurn(t *testing.T) {
 				}
 			case 2: // remove
 				for id := range live {
-					if f.Remove(id) == nil {
+					if f.remove(id) == nil {
 						delete(live, id)
 					}
 					break
@@ -303,7 +327,7 @@ func TestResizeMixedDeltaInPlace(t *testing.T) {
 	if _, err := f.Resize("t", big); !errors.Is(err, ErrRefused) {
 		t.Errorf("over-headroom pivot error = %v, want ErrRefused", err)
 	}
-	if c, _ := f.Container("t"); c.Name != "memheavy" {
+	if c, _ := f.container("t"); c.Name != "memheavy" {
 		t.Errorf("refused pivot changed the container to %s", c.Name)
 	}
 }

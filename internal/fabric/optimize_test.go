@@ -328,7 +328,7 @@ func TestFabricInvariantUnderContentionChurn(t *testing.T) {
 				}
 			case 2: // remove
 				for id := range live {
-					if f.Remove(id) == nil {
+					if f.remove(id) == nil {
 						delete(live, id)
 					}
 					break

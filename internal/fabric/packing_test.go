@@ -97,7 +97,7 @@ func TestPacking1kTenants(t *testing.T) {
 	g, loose := packingCluster(t, tenants, servers, WorstFit)
 	var total resource.Vector
 	for i := range loose {
-		c, _ := g.Container(loose[i].ID)
+		c, _ := g.container(loose[i].ID)
 		total = total.Add(c.Alloc)
 		loose[i].GoalMs = 0 // no latency constraint: pure bin packing
 	}

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"daasscale/internal/exec"
@@ -50,10 +49,10 @@ const (
 	// transactions) as an engine counter reset would.
 	KindReset
 	// KindPartialWaitMap clears a random subset of the per-class wait
-	// totals, as when the raw wait-type map arrives incomplete.
+	// totals, as when the wait statistics arrive incomplete.
 	KindPartialWaitMap
-	// KindEmptyWaitMap clears every per-class wait total, as when the raw
-	// wait-type map arrives empty.
+	// KindEmptyWaitMap clears every per-class wait total, as when the wait
+	// statistics arrive empty.
 	KindEmptyWaitMap
 	// KindClockSkew perturbs the snapshot's Interval index by a few
 	// intervals in either direction.
@@ -114,9 +113,6 @@ func Uniform(rate float64) Plan {
 	return p
 }
 
-// Rate returns the plan's probability for one fault kind.
-func (p Plan) Rate(k Kind) float64 { return p.Rates[k] }
-
 // Enabled reports whether the plan injects any fault at all.
 func (p Plan) Enabled() bool {
 	for _, r := range p.Rates {
@@ -135,16 +131,6 @@ func (p Plan) Validate() error {
 		}
 	}
 	return nil
-}
-
-// TotalRate returns the per-interval probability that at least one fault
-// fires (assuming independence of kinds).
-func (p Plan) TotalRate() float64 {
-	clean := 1.0
-	for _, r := range p.Rates {
-		clean *= 1 - r
-	}
-	return 1 - clean
 }
 
 // Stats counts what an Injector actually did.
@@ -257,18 +243,6 @@ func (in *Injector) Apply(s telemetry.Snapshot) []telemetry.Snapshot {
 	return in.out
 }
 
-// Flush releases a held snapshot at end of stream, if any. The returned
-// slice is reused across calls.
-func (in *Injector) Flush() []telemetry.Snapshot {
-	in.out = in.out[:0]
-	if in.hasHeld {
-		in.out = append(in.out, in.held)
-		in.hasHeld = false
-		in.stats.Delivered++
-	}
-	return in.out
-}
-
 // counterFields is the number of scalar corruption targets poisonField
 // chooses from.
 const counterFields = 8
@@ -322,8 +296,8 @@ func (in *Injector) corrupt(s *telemetry.Snapshot, r *rand.Rand) {
 		s.Transactions = 0
 	}
 	if in.roll(r, KindPartialWaitMap) {
-		// Clear a random, non-empty subset of wait classes — the shape a
-		// partially delivered raw wait-type map aggregates to.
+		// Clear a random, non-empty subset of wait classes — the shape of
+		// partially delivered wait statistics.
 		cleared := false
 		for c := range s.WaitMs {
 			if r.Float64() < 0.5 {
@@ -347,46 +321,5 @@ func (in *Injector) corrupt(s *telemetry.Snapshot, r *rand.Rand) {
 		if s.Interval < 0 {
 			s.Interval = 0
 		}
-	}
-}
-
-// CorruptWaitMap applies the partial/empty wait-map kinds to a raw
-// per-wait-type map in place, for producers that feed
-// telemetry.Manager.ObserveRaw directly: with probability
-// Rates[KindEmptyWaitMap] every entry is removed; otherwise each entry is
-// independently removed with probability Rates[KindPartialWaitMap]. The
-// interval's stream is derived exactly as Apply derives it, so using both
-// on one stream is still deterministic.
-func (in *Injector) CorruptWaitMap(interval int, byType map[telemetry.WaitType]float64) {
-	if len(byType) == 0 {
-		return
-	}
-	r := rand.New(rand.NewSource(exec.SplitSeed(in.base, ^int64(interval))))
-	if in.plan.Rates[KindEmptyWaitMap] > 0 && r.Float64() < in.plan.Rates[KindEmptyWaitMap] {
-		in.stats.Injected[KindEmptyWaitMap]++
-		for t := range byType {
-			delete(byType, t)
-		}
-		return
-	}
-	if in.plan.Rates[KindPartialWaitMap] <= 0 {
-		return
-	}
-	// Iterate in sorted key order: Go's map iteration order is random, and
-	// one RNG draw per entry must pair with the same entry every run.
-	keys := make([]string, 0, len(byType))
-	for t := range byType {
-		keys = append(keys, string(t))
-	}
-	sort.Strings(keys)
-	removed := false
-	for _, t := range keys {
-		if r.Float64() < in.plan.Rates[KindPartialWaitMap] {
-			delete(byType, telemetry.WaitType(t))
-			removed = true
-		}
-	}
-	if removed {
-		in.stats.Injected[KindPartialWaitMap]++
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"daasscale/internal/telemetry"
@@ -51,20 +50,14 @@ func TestUniformPlan(t *testing.T) {
 	}
 	var sum float64
 	for k := 0; k < NumKinds; k++ {
-		sum += p.Rate(Kind(k))
+		sum += p.Rates[k]
 	}
 	if math.Abs(sum-0.1) > 1e-12 {
 		t.Fatalf("rates sum to %v, want 0.1", sum)
 	}
-	if tr := p.TotalRate(); tr <= 0 || tr > 0.1 {
-		t.Fatalf("TotalRate = %v, want (0, 0.1]", tr)
-	}
 	var zero Plan
 	if zero.Enabled() {
 		t.Fatal("zero plan reports enabled")
-	}
-	if zero.TotalRate() != 0 {
-		t.Fatalf("zero plan TotalRate = %v", zero.TotalRate())
 	}
 }
 
@@ -103,7 +96,6 @@ func TestInjectorDeterministic(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			out = append(out, in.Apply(testSnapshot(rng, i))...)
 		}
-		out = append(out, in.Flush()...)
 		return out, in.Stats()
 	}
 	a, sa := run(plan, 7)
@@ -170,10 +162,9 @@ func TestInjectorDropEverything(t *testing.T) {
 	}
 }
 
-// TestInjectorReorderAndFlush: with only the reorder fault at rate 1, every
-// odd Apply releases the held snapshot after the newer one, and Flush
-// drains a trailing hold-back.
-func TestInjectorReorderAndFlush(t *testing.T) {
+// TestInjectorReorder: with only the reorder fault at rate 1, every odd
+// Apply releases the held snapshot after the newer one.
+func TestInjectorReorder(t *testing.T) {
 	var plan Plan
 	plan.Rates[KindReorder] = 1
 	in := NewInjector(plan, 1)
@@ -190,14 +181,7 @@ func TestInjectorReorderAndFlush(t *testing.T) {
 	if out := in.Apply(testSnapshot(rng, 2)); len(out) != 0 {
 		t.Fatal("third interval should be held again")
 	}
-	fl := in.Flush()
-	if len(fl) != 1 || fl[0].Interval != 2 {
-		t.Fatalf("Flush = %d snapshots", len(fl))
-	}
-	if fl2 := in.Flush(); len(fl2) != 0 {
-		t.Fatal("second Flush not empty")
-	}
-	if st := in.Stats(); st.Delivered != 3 || st.Intervals != 3 {
+	if st := in.Stats(); st.Delivered != 2 || st.Intervals != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -277,51 +261,6 @@ func TestInjectorCorruptionKinds(t *testing.T) {
 	}
 }
 
-func TestCorruptWaitMap(t *testing.T) {
-	mk := func() map[telemetry.WaitType]float64 {
-		return map[telemetry.WaitType]float64{
-			telemetry.WaitType("SOS_SCHEDULER_YIELD"): 100,
-			telemetry.WaitType("PAGEIOLATCH_SH"):      200,
-			telemetry.WaitType("WRITELOG"):            300,
-			telemetry.WaitType("LCK_M_X"):             400,
-		}
-	}
-
-	var empty Plan
-	empty.Rates[KindEmptyWaitMap] = 1
-	in := NewInjector(empty, 1)
-	m := mk()
-	in.CorruptWaitMap(3, m)
-	if len(m) != 0 {
-		t.Fatalf("empty-map kind left %d entries", len(m))
-	}
-	if in.Stats().Injected[KindEmptyWaitMap] != 1 {
-		t.Fatal("empty-map fault not counted")
-	}
-
-	var partial Plan
-	partial.Rates[KindPartialWaitMap] = 1
-	in = NewInjector(partial, 1)
-	m = mk()
-	in.CorruptWaitMap(3, m)
-	if len(m) != 0 {
-		t.Fatalf("partial kind at rate 1 left %d entries", len(m))
-	}
-
-	// Determinism: two injectors remove the same subset at rate 0.5.
-	partial.Rates[KindPartialWaitMap] = 0.5
-	a, b := mk(), mk()
-	NewInjector(partial, 9).CorruptWaitMap(7, a)
-	NewInjector(partial, 9).CorruptWaitMap(7, b)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("nondeterministic partial wait-map corruption: %v vs %v", a, b)
-	}
-
-	// Nil/empty maps are a no-op, never a panic.
-	NewInjector(partial, 9).CorruptWaitMap(7, nil)
-	NewInjector(partial, 9).CorruptWaitMap(7, map[telemetry.WaitType]float64{})
-}
-
 func TestStatsString(t *testing.T) {
 	var s Stats
 	s.Intervals = 10
@@ -346,7 +285,7 @@ func TestManagerSurvivesInjector(t *testing.T) {
 		plan := Uniform(0.8)
 		plan.Seed = seed
 		in := NewInjector(plan, 100+seed)
-		m := telemetry.NewManager(telemetry.DefaultWindow)
+		m := telemetry.NewManager(10)
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 120; i++ {
 			for _, fs := range in.Apply(testSnapshot(rng, i)) {
@@ -356,8 +295,8 @@ func TestManagerSurvivesInjector(t *testing.T) {
 				assertFiniteSignals(t, got)
 			}
 		}
-		if m.Quality().Score() >= 1 {
-			t.Fatalf("seed %d: aggressive plan left quality pristine: %v", seed, m.Quality())
+		if sig, _ := m.Signals(); sig.Quality.Score() >= 1 {
+			t.Fatalf("seed %d: aggressive plan left quality pristine: %v", seed, sig.Quality)
 		}
 	}
 }

@@ -52,16 +52,6 @@ func NewAggregate(alpha float64) *Aggregate {
 	}
 }
 
-// Tenants returns the number of tenants observed.
-func (a *Aggregate) Tenants() int { return int(a.tenants) }
-
-// TotalChanges returns the number of container-change events observed.
-func (a *Aggregate) TotalChanges() int { return int(a.totalChanges) }
-
-// IEISketch exposes the inter-event-interval sketch (minutes) for quantile
-// queries beyond what Analysis carries.
-func (a *Aggregate) IEISketch() *stats.Sketch { return a.iei }
-
 // ObserveTenant folds one tenant's change events into the aggregate and
 // forgets the tenant: the demand series can be discarded (or its buffer
 // reused) as soon as this returns.
@@ -144,21 +134,6 @@ func (a *Aggregate) Merge(o *Aggregate) error {
 		a.archDays[i] += o.archDays[i]
 	}
 	return nil
-}
-
-// ArchetypeChangesPerDay reports the fleet-level container-change rate per
-// archetype — the fleet-operator view of which tenants drive the resize
-// volume: total changes divided by total tenant-days. A ratio of integer
-// totals rather than a mean of per-tenant rates, so it streams and merges
-// exactly.
-func (a *Aggregate) ArchetypeChangesPerDay() map[Archetype]float64 {
-	out := map[Archetype]float64{}
-	for i := Archetype(0); i < numArchetypes; i++ {
-		if a.archDays[i] > 0 {
-			out[i] = float64(a.archChanges[i]) / float64(a.archDays[i])
-		}
-	}
-	return out
 }
 
 // Analysis renders the aggregate as the Section 2.2 Analysis. Every field

@@ -117,7 +117,7 @@ func TestStreamMatchesAnalyzeOracle(t *testing.T) {
 		}
 	}
 	sort.Float64s(iei)
-	sk := res.Aggregate.IEISketch()
+	sk := res.Aggregate.iei
 	if int(sk.Count()) != len(iei) {
 		t.Fatalf("sketch holds %d intervals, oracle has %d", sk.Count(), len(iei))
 	}
@@ -402,7 +402,7 @@ func TestAggregateBinaryRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(back.Analysis(), res.Analysis) {
 		t.Error("round-tripped aggregate renders a different Analysis")
 	}
-	if !reflect.DeepEqual(back.ArchetypeChangesPerDay(), res.Aggregate.ArchetypeChangesPerDay()) {
+	if !reflect.DeepEqual(archetypeChangesPerDay(back), archetypeChangesPerDay(res.Aggregate)) {
 		t.Error("round-tripped archetype rates differ")
 	}
 	if err := back.UnmarshalBinary(raw[:len(raw)-3]); err == nil {
@@ -421,7 +421,7 @@ func TestArchetypeRatesOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rates := res.Aggregate.ArchetypeChangesPerDay()
+	rates := archetypeChangesPerDay(res.Aggregate)
 	if len(rates) != int(numArchetypes) {
 		t.Fatalf("rates for %d archetypes, want %d", len(rates), int(numArchetypes))
 	}

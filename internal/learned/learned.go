@@ -164,20 +164,6 @@ func Train(samples []Sample, cfg TrainConfig) (*Model, error) {
 	return m, nil
 }
 
-// Accuracy evaluates plain classification accuracy on a labeled set.
-func (m *Model) Accuracy(samples []Sample) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	ok := 0
-	for _, s := range samples {
-		if m.Classify(s.X) == s.ScaleUpHelps {
-			ok++
-		}
-	}
-	return float64(ok) / float64(len(samples))
-}
-
 // BalancedAccuracy averages the per-class accuracies, so a classifier that
 // learned only the base rate scores 0.5 regardless of class imbalance.
 func BalancedAccuracy(samples []Sample, classify func(Sample) bool) float64 {

@@ -30,7 +30,7 @@ func TestTrainSeparatesLinearlySeparableData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := m.Accuracy(samples); acc < 0.95 {
+	if acc := BalancedAccuracy(samples, func(s Sample) bool { return m.Classify(s.X) }); acc < 0.95 {
 		t.Errorf("separable data accuracy = %v", acc)
 	}
 	if m.W[0] <= 0 {

@@ -109,19 +109,52 @@ func FuzzScanFrames(f *testing.F) {
 	f.Add(append(headerBytes(), rawFrame(KindDecision, []byte("x"))...))
 	f.Add(append(headerBytes(), rawFrame(9, []byte("from the future"))...))
 	prev := randRecord(rng)
-	f.Fuzz(func(t *testing.T, image []byte) {
-		for _, start := range []Tail{{}, {Last: &prev, Unbilled: true}} {
-			want := start
-			wantGood, wantFrames, wantErr := scanFrames("seg", image, want.visit)
-			got := start
-			good, frames, err := scanTail("seg", image, &got)
-			if good != wantGood || frames != wantFrames || fmt.Sprint(err) != fmt.Sprint(wantErr) {
-				t.Fatalf("scanTail: %d bytes, %d frames, %v; scanFrames: %d, %d, %v", good, frames, err, wantGood, wantFrames, wantErr)
-			}
-			if got.Unbilled != want.Unbilled || (got.Last == nil) != (want.Last == nil) ||
-				got.Last != nil && !recordsEqual(*got.Last, *want.Last) {
-				t.Fatalf("scanTail's tail %+v, scanFrames' %+v", got, want)
-			}
-		}
+	f.Fuzz(func(t *testing.T, image []byte) { checkScanAgrees(t, image, &prev) })
+}
+
+// FuzzScanFramedPayloads reaches the record decoders through valid framing:
+// it frames two fuzzed payloads under their fuzzed kind bytes, with correct
+// checksums, behind a good header, and cuts the image at a fuzzed offset.
+// A mutated whole segment image (FuzzScanFrames) almost never keeps a valid
+// CRC-32C, so its mutations rarely get past the framing walk.
+func FuzzScanFramedPayloads(f *testing.F) {
+	add := func(p1 []byte, k1 byte, p2 []byte, k2 byte, trim int) {
+		f.Add(p1, k1, p2, k2, uint(headerLen+2*frameOverhead+len(p1)+len(p2)-trim))
+	}
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 3; i++ {
+		r := randRecord(rng)
+		dec, item := EncodeDecision(&r), EncodeLineItem(&LineItem{Tenant: r.Tenant, Interval: i})
+		add(dec, KindDecision, item, KindLineItem, 0)              // billed
+		add(dec, KindDecision, item, KindLineItem, 3)              // torn line item
+		add(item, KindLineItem, dec[:len(dec)/2], KindDecision, 0) // undecodable decision
+		add(item, KindLineItem, dec, KindDecision, 0)              // unbilled
+	}
+	add([]byte("x"), 9, nil, KindDecision, 0) // unknown kind
+	prev := randRecord(rng)
+	f.Fuzz(func(t *testing.T, p1 []byte, k1 byte, p2 []byte, k2 byte, cut uint) {
+		image := append(append(headerBytes(), rawFrame(k1, p1)...), rawFrame(k2, p2)...)
+		checkScanAgrees(t, image[:cut%uint(len(image)+1)], &prev)
 	})
+}
+
+// checkScanAgrees requires scanTail and scanFrames+Tail.visit to agree on
+// image's recovery offset, frame count, error text and Tail, from an empty
+// tail and from one a previous segment left (records compare by canonical
+// encoding because of NaN).
+func checkScanAgrees(t *testing.T, image []byte, prev *loop.DecisionRecord) {
+	t.Helper()
+	for _, start := range []Tail{{}, {Last: prev, Unbilled: true}} {
+		want := start
+		wantGood, wantFrames, wantErr := scanFrames("seg", image, want.visit)
+		got := start
+		good, frames, err := scanTail("seg", image, &got)
+		if good != wantGood || frames != wantFrames || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("scanTail: %d bytes, %d frames, %v; scanFrames: %d, %d, %v", good, frames, err, wantGood, wantFrames, wantErr)
+		}
+		if got.Unbilled != want.Unbilled || (got.Last == nil) != (want.Last == nil) ||
+			got.Last != nil && !recordsEqual(*got.Last, *want.Last) {
+			t.Fatalf("scanTail's tail %+v, scanFrames' %+v", got, want)
+		}
+	}
 }

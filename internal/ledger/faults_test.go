@@ -100,7 +100,7 @@ func TestWriterPoisonedAfterFailedAppend(t *testing.T) {
 	if w2.Records() != 0 {
 		t.Fatalf("reopen found %d records in a torn segment, want 0", w2.Records())
 	}
-	if w2.RecoveredBytes() == 0 {
+	if w2.recovered == 0 {
 		t.Fatal("reopen did not truncate the torn tail")
 	}
 	w2.Close()
@@ -219,8 +219,8 @@ func TestOpenWriterRecoversTornHeader(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open over torn header: %v", err)
 	}
-	if w.RecoveredBytes() != int64(len(hdr)) {
-		t.Fatalf("RecoveredBytes = %d, want %d", w.RecoveredBytes(), len(hdr))
+	if w.recovered != int64(len(hdr)) {
+		t.Fatalf("recovered = %d, want %d", w.recovered, len(hdr))
 	}
 	rng := rand.New(rand.NewSource(5))
 	if err := w.AppendDecision(randRecord(rng)); err != nil {

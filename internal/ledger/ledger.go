@@ -538,9 +538,6 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// Path returns the active segment's file path.
-func (w *Writer) Path() string { return w.path }
-
 // Records returns the number of records in the active segment, including
 // those recovered from a previous writer's file. Sealed segments' records
 // are visible through Replay, not here.
@@ -549,10 +546,6 @@ func (w *Writer) Records() int64 { return w.records }
 // Bytes returns the active segment's current byte length (buffered
 // appends included).
 func (w *Writer) Bytes() int64 { return w.bytes }
-
-// RecoveredBytes reports how many torn-tail bytes OpenWriter truncated
-// away (0 for a clean open).
-func (w *Writer) RecoveredBytes() int64 { return w.recovered }
 
 // Syncs returns the number of fsync batches issued.
 func (w *Writer) Syncs() int64 { return w.syncs }

@@ -274,8 +274,8 @@ func TestTornTailRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
 		}
-		if w.RecoveredBytes() != cut-wantGood {
-			t.Fatalf("cut %d: recovered %d bytes, want %d", cut, w.RecoveredBytes(), cut-wantGood)
+		if w.recovered != cut-wantGood {
+			t.Fatalf("cut %d: recovered %d bytes, want %d", cut, w.recovered, cut-wantGood)
 		}
 		if err := w.AppendDecision(recs[2]); err != nil {
 			t.Fatal(err)

@@ -164,9 +164,9 @@ func TestOpenSinglePassProperty(t *testing.T) {
 			t.Fatalf("seed %d shape %d: Open: %v", seed, shape, err)
 		}
 		where := fmt.Sprintf("seed %d shape %d (%d seals, %d+%d frames)", seed, shape, rotations, sealed, intact)
-		if got.Records() != int64(intact) || got.Bytes() != int64(len(wantImage)) || got.RecoveredBytes() != recovered {
-			t.Fatalf("%s: Records/Bytes/RecoveredBytes = %d/%d/%d, want %d/%d/%d", where,
-				got.Records(), got.Bytes(), got.RecoveredBytes(), intact, len(wantImage), recovered)
+		if got.Records() != int64(intact) || got.Bytes() != int64(len(wantImage)) || got.recovered != recovered {
+			t.Fatalf("%s: Records/Bytes/recovered = %d/%d/%d, want %d/%d/%d", where,
+				got.Records(), got.Bytes(), got.recovered, intact, len(wantImage), recovered)
 		}
 		if after := readRaw(t, m, path); !bytes.Equal(after, wantImage) {
 			t.Fatalf("%s: active segment is %d bytes after open, want the %d-byte intact prefix", where, len(after), len(wantImage))

@@ -132,6 +132,3 @@ func (p *Auto) Observe(s telemetry.Snapshot) Decision {
 
 // Container implements Policy.
 func (p *Auto) Container() resource.Container { return p.scaler.Container() }
-
-// Scaler exposes the wrapped auto-scaler (for budget inspection etc.).
-func (p *Auto) Scaler() *core.AutoScaler { return p.scaler }

@@ -181,8 +181,8 @@ func TestAutoAdapter(t *testing.T) {
 	if p.Name() != "Auto" || p.Container().Name != "C3" {
 		t.Errorf("adapter basics: %s %s", p.Name(), p.Container().Name)
 	}
-	if p.Scaler() != scaler {
-		t.Error("Scaler accessor")
+	if p.scaler != scaler {
+		t.Error("adapter does not wrap the scaler")
 	}
 	d := p.Observe(snapFor(p.Container(), 50, 0.5))
 	if d.Target.Name != "C3" {

@@ -60,9 +60,6 @@ func (k Kind) String() string {
 //   - LogIO: kilobytes of log write per second.
 type Vector [NumKinds]float64
 
-// Get returns the component for kind k.
-func (v Vector) Get(k Kind) float64 { return v[k] }
-
 // With returns a copy of v with component k replaced by x.
 func (v Vector) With(k Kind, x float64) Vector {
 	v[k] = x
@@ -81,14 +78,6 @@ func (v Vector) Add(w Vector) Vector {
 func (v Vector) Sub(w Vector) Vector {
 	for i := range v {
 		v[i] -= w[i]
-	}
-	return v
-}
-
-// Scale returns v with every component multiplied by x.
-func (v Vector) Scale(x float64) Vector {
-	for i := range v {
-		v[i] *= x
 	}
 	return v
 }
@@ -135,9 +124,6 @@ type Container struct {
 	// variants share the step of the lock-step size they extend.
 	Step int
 }
-
-// CPUCores returns the CPU allocation expressed in cores.
-func (c Container) CPUCores() float64 { return c.Alloc[CPU] / 1000 }
 
 // String renders the container name, cost and allocation.
 func (c Container) String() string {
@@ -189,11 +175,6 @@ func NewCatalog(containers []Container) (*Catalog, error) {
 		return nil, fmt.Errorf("resource: catalog has no lock-step ladder containers")
 	}
 	return c, nil
-}
-
-// Containers returns every container in the catalog, in declaration order.
-func (c *Catalog) Containers() []Container {
-	return append([]Container(nil), c.containers...)
 }
 
 // Ladder returns the lock-step sizes in increasing step order.

@@ -28,17 +28,11 @@ func TestVectorArithmetic(t *testing.T) {
 	if got := w.Sub(v); got != (Vector{9, 18, 27, 36}) {
 		t.Errorf("Sub = %v", got)
 	}
-	if got := v.Scale(2); got != (Vector{2, 4, 6, 8}) {
-		t.Errorf("Scale = %v", got)
-	}
 	if got := v.Max(Vector{0, 5, 2, 9}); got != (Vector{1, 5, 3, 9}) {
 		t.Errorf("Max = %v", got)
 	}
 	if got := v.With(Memory, 77); got != (Vector{1, 77, 3, 4}) {
 		t.Errorf("With = %v", got)
-	}
-	if got := v.Get(DiskIO); got != 3 {
-		t.Errorf("Get = %v", got)
 	}
 }
 
@@ -89,11 +83,11 @@ func TestDefaultCatalogShape(t *testing.T) {
 	if got := cat.Largest().Cost; got != 270 {
 		t.Errorf("largest cost = %v, want 270", got)
 	}
-	if got := cat.Smallest().CPUCores(); got != 0.5 {
-		t.Errorf("smallest cores = %v, want 0.5", got)
+	if got := cat.Smallest().Alloc[CPU]; got != 500 {
+		t.Errorf("smallest CPU = %v, want 0.5 cores", got)
 	}
-	if got := cat.Largest().CPUCores(); got != 32 {
-		t.Errorf("largest cores = %v, want 32", got)
+	if got := cat.Largest().Alloc[CPU]; got != 32000 {
+		t.Errorf("largest CPU = %v, want 32 cores", got)
 	}
 	// Ladder must be strictly increasing in every dimension and in cost.
 	for i := 1; i < len(ladder); i++ {
@@ -133,7 +127,7 @@ func TestDefaultCatalogVariants(t *testing.T) {
 
 func TestLockStepCatalog(t *testing.T) {
 	cat := LockStepCatalog()
-	if got := len(cat.Containers()); got != 11 {
+	if got := len(cat.containers); got != 11 {
 		t.Fatalf("lock-step catalog has %d containers, want 11", got)
 	}
 	if _, ok := cat.ByName("C4-hicpu"); ok {
@@ -169,7 +163,7 @@ func TestSmallestFitting(t *testing.T) {
 		t.Errorf("SmallestFitting(zero) = %s ok=%v, want C0 true", got.Name, ok)
 	}
 	// Demand beyond the largest container cannot be met.
-	got, ok = cat.SmallestFitting(cat.Largest().Alloc.Scale(2))
+	got, ok = cat.SmallestFitting(cat.Largest().Alloc.Add(cat.Largest().Alloc))
 	if ok || got.Name != "C10" {
 		t.Errorf("SmallestFitting(huge) = %s ok=%v, want C10 false", got.Name, ok)
 	}
@@ -255,15 +249,6 @@ func TestByNameMissing(t *testing.T) {
 	cat := LockStepCatalog()
 	if _, ok := cat.ByName("nope"); ok {
 		t.Error("ByName should miss for unknown SKU")
-	}
-}
-
-func TestContainersIsCopy(t *testing.T) {
-	cat := LockStepCatalog()
-	cs := cat.Containers()
-	cs[0].Name = "mutated"
-	if cat.Smallest().Name == "mutated" {
-		t.Error("Containers() must return a copy")
 	}
 }
 

@@ -473,6 +473,50 @@ func TestCloseDuringOpen(t *testing.T) {
 	}
 }
 
+// TestCloseTwiceDuringIngest: two Closes racing each other beside an
+// in-flight POST both return nil without waiting for it, the POST is
+// refused once its open completes, later requests are refused, and a third
+// Close is a no-op.
+func TestCloseTwiceDuringIngest(t *testing.T) {
+	mem, _ := buildLedgers(t, 2, 2)
+	g := newGate("/led/t0000.ledger")
+	cfs := newCountFS(mem)
+	cfs.hold = g.hold
+	s, err := New(Config{LedgerDir: "/led", FS: cfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := ingestCode(s, "t0001", 2); code != http.StatusOK {
+		t.Fatalf("opening B: status %d", code)
+	}
+	inflight := make(chan int, 1)
+	go func() { inflight <- ingestCode(s, "t0000", 2) }()
+	<-g.entered
+	var errA, errB error
+	within(t, "two Closes beside an in-flight POST", func() {
+		other := make(chan error)
+		go func() { other <- s.Close() }()
+		errA = s.Close()
+		errB = <-other
+	})
+	if errA != nil || errB != nil {
+		t.Fatalf("concurrent Closes: %v, %v", errA, errB)
+	}
+	close(g.released)
+	if code := <-inflight; code != http.StatusServiceUnavailable {
+		t.Fatalf("in-flight POST, completed after Close: status %d, want 503", code)
+	}
+	if code := ingestCode(s, "t0001", 3); code != http.StatusServiceUnavailable {
+		t.Fatalf("POST after Close: status %d, want 503", code)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("third Close: %v", err)
+	}
+	if _, err := VerifyLedgers(mem, "/led", map[string]int{"t0000": 2, "t0001": 3}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFailedOpenIsRetried: an open that fails leaves no map entry — the
 // next request opens again, and a listing failure fails New itself.
 func TestFailedOpenIsRetried(t *testing.T) {

@@ -134,10 +134,11 @@ type Server struct {
 	// writer keeps its own seal list, and residents are never evicted.
 	index ledger.Index
 
-	mu       sync.RWMutex
-	tenants  map[string]*tenant
+	mu      sync.RWMutex
+	tenants map[string]*tenant
+	// draining is set by the first Close and never cleared: from then on
+	// new work is refused and a further Close returns at once.
 	draining bool
-	closed   bool
 }
 
 // New builds a Server, creating the ledger directory if needed.
@@ -325,12 +326,11 @@ func (s *Server) residents() (tenants []*tenant, draining bool) {
 // call more than once.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	if s.closed {
+	if s.draining {
 		s.mu.Unlock()
 		return nil
 	}
 	s.draining = true
-	s.closed = true
 	s.mu.Unlock()
 
 	// A tenant that becomes ready after this point saw draining under
@@ -343,13 +343,6 @@ func (s *Server) Close() error {
 		}
 	}
 	return first
-}
-
-// Draining reports whether Close has begun.
-func (s *Server) Draining() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.draining
 }
 
 // wireSnapshot is one telemetry snapshot on the wire. Seq is the

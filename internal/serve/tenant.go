@@ -429,13 +429,6 @@ func (t *tenant) drain() error {
 	return t.led.Close()
 }
 
-// bufferDepth reports the current reorder-buffer size.
-func (t *tenant) bufferDepth() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.buf)
-}
-
 // teeRecorder fans one record out to both destinations (ledger first).
 type teeRecorder [2]loop.Recorder
 

@@ -143,7 +143,7 @@ func TestDeriveOffline(t *testing.T) {
 	}
 	// Every scheduled container must dominate the smallest one (sanity).
 	for i, c := range off.Schedule {
-		if !c.Alloc.Dominates(cat.Smallest().Alloc.Scale(0)) {
+		if !c.Alloc.Dominates(cat.Smallest().Alloc) {
 			t.Fatalf("schedule[%d] bogus: %v", i, c)
 		}
 	}

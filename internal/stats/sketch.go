@@ -93,20 +93,9 @@ func (s *Sketch) Accuracy() float64 { return s.alpha }
 // Count returns the number of non-NaN observations.
 func (s *Sketch) Count() uint64 { return s.count }
 
-// NaNs returns the number of NaN observations that were ignored.
-func (s *Sketch) NaNs() uint64 { return s.nans }
-
 // Bins returns the number of occupied log-spaced bins — the sketch's memory
 // footprint is proportional to this, independent of Count.
 func (s *Sketch) Bins() int { return len(s.pos) + len(s.neg) }
-
-// Min returns the exact minimum observation (NaN when empty).
-func (s *Sketch) Min() float64 {
-	if s.count == 0 {
-		return math.NaN()
-	}
-	return s.min
-}
 
 // Max returns the exact maximum observation (NaN when empty).
 func (s *Sketch) Max() float64 {
@@ -192,15 +181,6 @@ func (s *Sketch) Merge(o *Sketch) error {
 		}
 	}
 	return nil
-}
-
-// Clone returns an independent copy of the sketch.
-func (s *Sketch) Clone() *Sketch {
-	c := NewSketch(s.alpha)
-	if err := c.Merge(s); err != nil {
-		panic("stats: cloning cannot mismatch") // same alpha by construction
-	}
-	return c
 }
 
 // sortedKeys returns the map's keys ascending. Quantile walks bins in value

@@ -61,8 +61,8 @@ func TestSketchQuantileErrorBound(t *testing.T) {
 			}
 			// Extremes are exact: quantileReference is the pre-optimization
 			// oracle shared with the selection kernels.
-			if s.Min() != quantileReference(xs, 0) || s.Max() != quantileReference(xs, 1) {
-				t.Fatalf("%s: extremes not exact: [%v,%v]", name, s.Min(), s.Max())
+			if s.min != quantileReference(xs, 0) || s.Max() != quantileReference(xs, 1) {
+				t.Fatalf("%s: extremes not exact: [%v,%v]", name, s.min, s.Max())
 			}
 			for _, q := range quantiles {
 				v := s.Quantile(q)
@@ -71,8 +71,8 @@ func TestSketchQuantileErrorBound(t *testing.T) {
 				want := orderStatistic(xs, k)
 				assertWithinAccuracy(t, v, want, alpha, name)
 				// And the returned value never escapes the exact data range.
-				if v < s.Min() || v > s.Max() {
-					t.Errorf("%s: q=%v value %v outside [%v,%v]", name, q, v, s.Min(), s.Max())
+				if v < s.min || v > s.Max() {
+					t.Errorf("%s: q=%v value %v outside [%v,%v]", name, q, v, s.min, s.Max())
 				}
 			}
 		}
@@ -126,8 +126,8 @@ func TestSketchNaNContract(t *testing.T) {
 	s.Add(2)
 	s.Add(math.NaN())
 	// NaN input is ignored and counted, never poisons a bin.
-	if s.Count() != 2 || s.NaNs() != 1 {
-		t.Fatalf("count=%d nans=%d", s.Count(), s.NaNs())
+	if s.Count() != 2 || s.nans != 1 {
+		t.Fatalf("count=%d nans=%d", s.Count(), s.nans)
 	}
 	if v := s.Quantile(0.5); math.IsNaN(v) {
 		t.Error("NaN input poisoned the quantiles")
@@ -184,12 +184,19 @@ func TestSketchMergeCommutativeAssociative(t *testing.T) {
 		return s
 	}
 	a, b, c := mk(500, 1), mk(700, 1e4), mk(300, 1e-3)
+	clone := func(s *Sketch) *Sketch {
+		out := NewSketch(s.alpha)
+		if err := out.Merge(s); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
 
-	ab := a.Clone()
+	ab := clone(a)
 	if err := ab.Merge(b); err != nil {
 		t.Fatal(err)
 	}
-	ba := b.Clone()
+	ba := clone(b)
 	if err := ba.Merge(a); err != nil {
 		t.Fatal(err)
 	}
@@ -199,15 +206,15 @@ func TestSketchMergeCommutativeAssociative(t *testing.T) {
 		t.Error("merge is not commutative bit-for-bit")
 	}
 
-	abc1 := ab.Clone() // (a∪b)∪c
+	abc1 := clone(ab) // (a∪b)∪c
 	if err := abc1.Merge(c); err != nil {
 		t.Fatal(err)
 	}
-	bc := b.Clone()
+	bc := clone(b)
 	if err := bc.Merge(c); err != nil {
 		t.Fatal(err)
 	}
-	abc2 := a.Clone() // a∪(b∪c)
+	abc2 := clone(a) // a∪(b∪c)
 	if err := abc2.Merge(bc); err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +238,7 @@ func TestSketchMergeCommutativeAssociative(t *testing.T) {
 	}
 
 	// Accuracy mismatch is an error, not silent corruption.
-	if err := a.Clone().Merge(NewSketch(0.05)); err == nil {
+	if err := clone(a).Merge(NewSketch(0.05)); err == nil {
 		t.Error("merging mismatched accuracies should fail")
 	}
 }

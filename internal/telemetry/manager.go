@@ -118,8 +118,7 @@ func SteadySignals(s Snapshot) Signals {
 // decision point — the property the fleet-scale simulator leans on (see
 // DESIGN.md, "Hot path & performance model"). Signals are additionally
 // cached between observations: repeated Signals() calls within one billing
-// interval return the cached value, and any Observe/ObserveRaw/Reset
-// invalidates it.
+// interval return the cached value, and any Observe invalidates it.
 type Manager struct {
 	window int
 	alpha  float64
@@ -152,11 +151,6 @@ type Manager struct {
 	tsBuf             []float64
 	spear             stats.SpearmanScratch
 }
-
-// DefaultWindow is the number of billing intervals the manager aggregates
-// over. Short enough to react within minutes, long enough for robust
-// medians and trends.
-const DefaultWindow = 10
 
 // MinIntervalsForSignals is the minimum history before Signals reports.
 const MinIntervalsForSignals = 3
@@ -271,58 +265,6 @@ func (m *Manager) quality(n int) Quality {
 		}
 	}
 	return q
-}
-
-// Quality returns the delivery/sanitization accounting over the currently
-// retained window (without requiring MinIntervalsForSignals history).
-func (m *Manager) Quality() Quality {
-	return m.quality(len(m.ring))
-}
-
-// ObserveRaw ingests a snapshot whose waits arrive as raw engine wait types
-// (the shape a production DBMS reports, Section 3.1): the manager applies
-// the classification rules and fills the snapshot's per-class wait totals
-// before retaining it.
-//
-// A nil byType means "no raw wait telemetry arrived this interval": any
-// per-class totals already present in s are preserved as-is. Every non-nil
-// map — including an empty one, which a healthy engine reports for a truly
-// wait-free interval — replaces s.WaitMs wholesale with its aggregation.
-// (Historically a nil map silently zeroed all pre-filled totals, making a
-// lost wait-type payload look like an idle database.)
-func (m *Manager) ObserveRaw(s Snapshot, byType map[WaitType]float64) {
-	if byType != nil {
-		s.WaitMs = AggregateWaitTypes(byType)
-	}
-	m.Observe(s)
-}
-
-// Len returns the number of retained snapshots.
-func (m *Manager) Len() int { return len(m.ring) }
-
-// Reset clears all history (used after a container resize when the operator
-// wants signals scoped to the new container). The ring storage and scratch
-// arenas are retained, so a reset-and-rewarmed manager still runs
-// allocation-free.
-func (m *Manager) Reset() {
-	m.ring = m.ring[:0]
-	m.meta = m.meta[:0]
-	m.head = 0
-	m.haveLast = false
-	m.lastInterval = 0
-	m.cachedOK = false
-}
-
-// Window returns the configured window size.
-func (m *Manager) Window() int { return m.window }
-
-// AppendSnapshots appends the retained snapshots to dst in chronological
-// order (oldest first) and returns the extended slice.
-func (m *Manager) AppendSnapshots(dst []Snapshot) []Snapshot {
-	for i := 0; i < len(m.ring); i++ {
-		dst = append(dst, *m.at(i))
-	}
-	return dst
 }
 
 // Signals computes the derived signals over the retained window. ok is

@@ -126,72 +126,29 @@ func TestQualityScore(t *testing.T) {
 	}
 }
 
-// TestObserveRawNilPreservesPrefilledWaits is the satellite bugfix: a nil
-// raw wait-type map (no wait telemetry arrived) must not zero per-class
-// totals already present in the snapshot.
-func TestObserveRawNilPreservesPrefilledWaits(t *testing.T) {
-	m := NewManager(5)
-	var s Snapshot
-	s.Interval = 0
-	s.WaitMs[WaitCPU] = 1234
-	s.WaitMs[WaitLock] = 55
-	m.ObserveRaw(s, nil)
-	got := m.AppendSnapshots(nil)[0]
-	if got.WaitMs[WaitCPU] != 1234 || got.WaitMs[WaitLock] != 55 {
-		t.Fatalf("nil byType zeroed pre-filled waits: %v", got.WaitMs)
-	}
-}
-
-// TestObserveRawNonNilReplacesWaits: every non-nil map — including an empty
-// one — replaces the snapshot's wait totals wholesale.
-func TestObserveRawNonNilReplacesWaits(t *testing.T) {
-	m := NewManager(5)
-	var s Snapshot
-	s.WaitMs[WaitCPU] = 1234 // stale pre-filled value
-	m.ObserveRaw(s, map[WaitType]float64{
-		"PAGEIOLATCH_SH": 400,
-	})
-	got := m.AppendSnapshots(nil)[0]
-	if got.WaitMs[WaitCPU] != 0 {
-		t.Fatalf("stale pre-filled CPU waits survived a non-nil map: %v", got.WaitMs)
-	}
-	if got.WaitMs[WaitDiskIO] != 400 {
-		t.Fatalf("aggregated disk waits = %v, want 400", got.WaitMs[WaitDiskIO])
-	}
-
-	m.Reset()
-	s = Snapshot{Interval: 1}
-	s.WaitMs[WaitCPU] = 1234
-	m.ObserveRaw(s, map[WaitType]float64{})
-	got = m.AppendSnapshots(nil)[0]
-	if got.TotalWaitMs() != 0 {
-		t.Fatalf("empty map must mean a wait-free interval, got %v", got.WaitMs)
-	}
-}
-
 // TestManagerQualityAccounting walks the delivery-order classifier through
 // gaps, duplicates and out-of-order arrivals and checks the window-scoped
-// counters, including ageing out after eviction and Reset.
+// counters, including ageing out after eviction.
 func TestManagerQualityAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := NewManager(4)
 
 	m.Observe(randomSnapshot(rng, 0))
 	m.Observe(randomSnapshot(rng, 1))
-	if q := m.Quality(); q != (Quality{IntervalsSeen: 2}) {
+	if q := m.quality(len(m.ring)); q != (Quality{IntervalsSeen: 2}) {
 		t.Fatalf("clean deliveries: %+v", q)
 	}
 
 	m.Observe(randomSnapshot(rng, 1)) // duplicate
-	if q := m.Quality(); q.Duplicates != 1 {
+	if q := m.quality(len(m.ring)); q.Duplicates != 1 {
 		t.Fatalf("duplicate not counted: %+v", q)
 	}
 	m.Observe(randomSnapshot(rng, 0)) // out of order
-	if q := m.Quality(); q.OutOfOrder != 1 {
+	if q := m.quality(len(m.ring)); q.OutOfOrder != 1 {
 		t.Fatalf("out-of-order not counted: %+v", q)
 	}
 	m.Observe(randomSnapshot(rng, 5)) // gap of 3 (intervals 2..4 missing)
-	q := m.Quality()
+	q := m.quality(len(m.ring))
 	if q.Gaps != 3 {
 		t.Fatalf("gap = %d, want 3: %+v", q.Gaps, q)
 	}
@@ -204,20 +161,8 @@ func TestManagerQualityAccounting(t *testing.T) {
 	for i := 6; i < 10; i++ {
 		m.Observe(randomSnapshot(rng, i))
 	}
-	if q := m.Quality(); q != (Quality{IntervalsSeen: 4}) {
+	if q := m.quality(len(m.ring)); q != (Quality{IntervalsSeen: 4}) {
 		t.Fatalf("quality did not recover after the channel healed: %+v", q)
-	}
-
-	m.Observe(randomSnapshot(rng, 9)) // dirty it again, then reset
-	m.Reset()
-	if q := m.Quality(); q != (Quality{}) {
-		t.Fatalf("Reset left quality state behind: %+v", q)
-	}
-	// After Reset the delivery-order tracker must also restart: the first
-	// observation is never a duplicate/gap relative to pre-Reset history.
-	m.Observe(randomSnapshot(rng, 2))
-	if q := m.Quality(); q != (Quality{IntervalsSeen: 1}) {
-		t.Fatalf("first post-Reset delivery misclassified: %+v", q)
 	}
 }
 
@@ -228,7 +173,7 @@ func TestManagerGapCappedAtWindow(t *testing.T) {
 	m := NewManager(5)
 	m.Observe(randomSnapshot(rng, 0))
 	m.Observe(randomSnapshot(rng, 1_000_000))
-	if q := m.Quality(); q.Gaps != 5 {
+	if q := m.quality(len(m.ring)); q.Gaps != 5 {
 		t.Fatalf("gap = %d, want capped at window 5", q.Gaps)
 	}
 }
@@ -240,9 +185,9 @@ func TestManagerGapCappedAtWindow(t *testing.T) {
 func TestManagerSanitizesCorruptStream(t *testing.T) {
 	d := newSignalsDigest()
 	rng := rand.New(rand.NewSource(5))
-	m := NewManager(DefaultWindow)
+	m := NewManager(10)
 	sanitized := 0
-	for i := 0; i < DefaultWindow*3; i++ {
+	for i := 0; i < 10*3; i++ {
 		s := randomSnapshot(rng, i)
 		switch i % 4 {
 		case 1:
@@ -274,7 +219,7 @@ func TestManagerSanitizesCorruptStream(t *testing.T) {
 	}
 	// Window 10 with corruption every 4th interval (pattern 2+0+1+0 per 4):
 	// quality must be dirty but not pristine.
-	q := m.Quality()
+	q := m.quality(len(m.ring))
 	if q.Sanitized == 0 {
 		t.Fatal("no sanitization recorded")
 	}

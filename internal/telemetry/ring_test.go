@@ -139,64 +139,20 @@ func TestSignalsCachedBetweenObservations(t *testing.T) {
 	}
 }
 
-// TestResetRewarmMatchesFreshManager: a ring-buffer manager that has been
-// used, Reset, and re-warmed must produce exactly the Signals of a freshly
-// constructed manager fed the same tail of snapshots — retained arenas and
-// ring state must leak nothing across Reset.
-func TestResetRewarmMatchesFreshManager(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 20; trial++ {
-		window := MinIntervalsForSignals + rng.Intn(8)
-		used := NewManager(window)
-		// Dirty the manager: fill past wrap, compute signals, reset.
-		for i := 0; i < window*3; i++ {
-			used.Observe(randomSnapshot(rng, i))
-		}
-		if _, ok := used.Signals(); !ok {
-			t.Fatal("no signals before reset")
-		}
-		used.Reset()
-		if used.Len() != 0 {
-			t.Fatalf("len after reset = %d", used.Len())
-		}
-		if _, ok := used.Signals(); ok {
-			t.Fatal("signals available immediately after reset")
-		}
-
-		fresh := NewManager(window)
-		tail := make([]Snapshot, window+2)
-		for i := range tail {
-			tail[i] = randomSnapshot(rng, 100+i)
-		}
-		for _, s := range tail {
-			used.Observe(s)
-			fresh.Observe(s)
-			gotUsed, okUsed := used.Signals()
-			gotFresh, okFresh := fresh.Signals()
-			if okUsed != okFresh {
-				t.Fatalf("trial %d: ok mismatch after reset: %v vs %v", trial, okUsed, okFresh)
-			}
-			if okUsed && !reflect.DeepEqual(gotUsed, gotFresh) {
-				t.Fatalf("trial %d: re-warmed manager diverged from fresh manager\n got %+v\nwant %+v",
-					trial, gotUsed, gotFresh)
-			}
-		}
-	}
-}
-
-func TestAppendSnapshotsChronological(t *testing.T) {
+// TestRingChronological: after wrapping, the ring holds the newest window
+// of snapshots and at(i) walks them oldest first.
+func TestRingChronological(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := NewManager(4)
 	for i := 0; i < 11; i++ {
 		m.Observe(randomSnapshot(rng, i))
 	}
-	snaps := m.AppendSnapshots(nil)
-	if len(snaps) != 4 {
-		t.Fatalf("len = %d, want 4", len(snaps))
+	if len(m.ring) != 4 {
+		t.Fatalf("len = %d, want 4", len(m.ring))
 	}
-	for i, s := range snaps {
-		if want := 7 + i; s.Interval != want {
-			t.Errorf("snaps[%d].Interval = %d, want %d", i, s.Interval, want)
+	for i := range m.ring {
+		if want := 7 + i; m.at(i).Interval != want {
+			t.Errorf("at(%d).Interval = %d, want %d", i, m.at(i).Interval, want)
 		}
 	}
 }
@@ -210,8 +166,8 @@ func TestSignalsZeroAllocAfterWarmup(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	rng := rand.New(rand.NewSource(77))
-	m := NewManager(DefaultWindow)
-	snaps := make([]Snapshot, DefaultWindow*2)
+	m := NewManager(10)
+	snaps := make([]Snapshot, 10*2)
 	for i := range snaps {
 		snaps[i] = randomSnapshot(rng, i)
 	}

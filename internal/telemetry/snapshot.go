@@ -13,7 +13,8 @@ import (
 
 // WaitClass is a broad class of waits a tenant's requests can incur inside
 // the database server. The paper maps SQL Server's 300+ wait types onto this
-// set of key physical and logical resources (Section 3.1).
+// set of key physical and logical resources (Section 3.1); the simulated
+// engine accounts its waits in these classes directly.
 type WaitClass int
 
 // The wait classes tracked per billing interval. The first four correspond
@@ -55,24 +56,6 @@ func (c WaitClass) String() string {
 		return "system"
 	default:
 		return fmt.Sprintf("waitclass(%d)", int(c))
-	}
-}
-
-// ResourceKind returns the physical resource dimension this wait class is
-// attributed to, and ok=false for logical waits (lock, latch, system) that
-// no container resize can satisfy.
-func (c WaitClass) ResourceKind() (resource.Kind, bool) {
-	switch c {
-	case WaitCPU:
-		return resource.CPU, true
-	case WaitMemory:
-		return resource.Memory, true
-	case WaitDiskIO:
-		return resource.DiskIO, true
-	case WaitLogIO:
-		return resource.LogIO, true
-	default:
-		return 0, false
 	}
 }
 

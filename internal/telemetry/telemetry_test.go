@@ -23,16 +23,13 @@ func TestWaitClassStrings(t *testing.T) {
 }
 
 func TestWaitClassResourceMapping(t *testing.T) {
-	for _, k := range resource.Kinds {
-		wc := WaitClassFor(k)
-		back, ok := wc.ResourceKind()
-		if !ok || back != k {
-			t.Errorf("round trip %v → %v → %v ok=%v", k, wc, back, ok)
-		}
+	want := map[resource.Kind]WaitClass{
+		resource.CPU: WaitCPU, resource.Memory: WaitMemory,
+		resource.DiskIO: WaitDiskIO, resource.LogIO: WaitLogIO,
 	}
-	for _, wc := range []WaitClass{WaitLock, WaitLatch, WaitSystem} {
-		if _, ok := wc.ResourceKind(); ok {
-			t.Errorf("%v should not map to a physical resource", wc)
+	for _, k := range resource.Kinds {
+		if got := WaitClassFor(k); got != want[k] {
+			t.Errorf("WaitClassFor(%v) = %v, want %v", k, got, want[k])
 		}
 	}
 }
@@ -99,8 +96,8 @@ func TestManagerWindowEviction(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		m.Observe(synth(i, 0.5, 100, 50))
 	}
-	if m.Len() != 4 {
-		t.Errorf("window kept %d snapshots, want 4", m.Len())
+	if len(m.ring) != 4 {
+		t.Errorf("window kept %d snapshots, want 4", len(m.ring))
 	}
 	sig, _ := m.Signals()
 	if sig.Current.Interval != 9 {
@@ -113,8 +110,8 @@ func TestManagerWindowEviction(t *testing.T) {
 
 func TestManagerMinimumWindowClamped(t *testing.T) {
 	m := NewManager(1)
-	if m.Window() != MinIntervalsForSignals {
-		t.Errorf("window = %d, want clamped to %d", m.Window(), MinIntervalsForSignals)
+	if m.window != MinIntervalsForSignals {
+		t.Errorf("window = %d, want clamped to %d", m.window, MinIntervalsForSignals)
 	}
 }
 
@@ -195,16 +192,38 @@ func TestSignalsLogicalWaitShares(t *testing.T) {
 	}
 }
 
-func TestManagerReset(t *testing.T) {
-	m := NewManager(5)
-	for i := 0; i < 5; i++ {
-		m.Observe(synth(i, 0.5, 100, 50))
+func TestSteadySignals(t *testing.T) {
+	var s Snapshot
+	s.Interval = 7
+	s.AvgLatencyMs = 40
+	s.P95LatencyMs = 90
+	s.OfferedRPS = 120
+	s.MemoryUsedMB = 2048
+	s.PhysicalReads = 333
+	s.WaitMs[WaitCPU] = 600
+	s.WaitMs[WaitLock] = 400
+	s.Utilization[0] = 0.5
+
+	sig := SteadySignals(s)
+	if sig.Current.Interval != 7 {
+		t.Errorf("current snapshot not carried: %+v", sig.Current)
 	}
-	m.Reset()
-	if m.Len() != 0 {
-		t.Errorf("len after reset = %d", m.Len())
+	if sig.Latency.P95Ms != 90 || sig.Latency.PrevP95Ms != 90 || sig.Latency.AvgMs != 40 {
+		t.Errorf("latency signals: %+v", sig.Latency)
 	}
-	if _, ok := m.Signals(); ok {
-		t.Error("signals should be unavailable after reset")
+	if sig.Resources[0].Utilization != 0.5 || sig.Resources[0].PrevUtilization != 0.5 {
+		t.Errorf("resource signals: %+v", sig.Resources[0])
+	}
+	if sig.Resources[0].WaitMs != 600 || sig.Resources[0].WaitPct != 0.6 {
+		t.Errorf("wait signals: %+v", sig.Resources[0])
+	}
+	if sig.LogicalWaitPct[WaitLock] != 0.4 {
+		t.Errorf("lock share = %v", sig.LogicalWaitPct[WaitLock])
+	}
+	if sig.Latency.Trend.Significant {
+		t.Error("steady signals must have no significant trend")
+	}
+	if sig.MemoryUsedMB != 2048 || sig.PhysicalReadsMedian != 333 || sig.OfferedRPS != 120 {
+		t.Errorf("scalar fields: %+v", sig)
 	}
 }

@@ -79,80 +79,8 @@ func (t *Trace) Scale(f float64) *Trace {
 	return out
 }
 
-// Concat returns a new trace playing t followed by others, named after t.
-func (t *Trace) Concat(others ...*Trace) *Trace {
-	out := &Trace{Name: t.Name, RPS: append([]float64(nil), t.RPS...)}
-	for _, o := range others {
-		out.RPS = append(out.RPS, o.RPS...)
-	}
-	return out
-}
-
-// Repeat returns the trace played n times back to back (n < 1 yields an
-// empty trace).
-func (t *Trace) Repeat(n int) *Trace {
-	out := &Trace{Name: t.Name}
-	for i := 0; i < n; i++ {
-		out.RPS = append(out.RPS, t.RPS...)
-	}
-	return out
-}
-
-// Overlay returns the per-minute sum of t and o (shorter input treated as
-// zero past its end) — composing, say, a steady baseline with a burst
-// overlay.
-func (t *Trace) Overlay(o *Trace) *Trace {
-	n := len(t.RPS)
-	if len(o.RPS) > n {
-		n = len(o.RPS)
-	}
-	out := &Trace{Name: t.Name, RPS: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		out.RPS[i] = t.At(i)*boundIn(i, len(t.RPS)) + o.At(i)*boundIn(i, len(o.RPS))
-	}
-	return out
-}
-
-// boundIn is 1 while i is inside a series of length n, else 0 (At clamps,
-// Overlay must not).
-func boundIn(i, n int) float64 {
-	if i < n {
-		return 1
-	}
-	return 0
-}
-
-// Resample returns the trace stretched or compressed to n minutes by
-// linear interpolation — fitting an imported production trace to an
-// experiment's length without losing its shape.
-func (t *Trace) Resample(n int) *Trace {
-	out := &Trace{Name: t.Name}
-	if n <= 0 || len(t.RPS) == 0 {
-		return out
-	}
-	out.RPS = make([]float64, n)
-	if len(t.RPS) == 1 {
-		for i := range out.RPS {
-			out.RPS[i] = t.RPS[0]
-		}
-		return out
-	}
-	for i := 0; i < n; i++ {
-		pos := float64(i) * float64(len(t.RPS)-1) / float64(n-1)
-		lo := int(pos)
-		if lo >= len(t.RPS)-1 {
-			out.RPS[i] = t.RPS[len(t.RPS)-1]
-			continue
-		}
-		frac := pos - float64(lo)
-		out.RPS[i] = t.RPS[lo]*(1-frac) + t.RPS[lo+1]*frac
-	}
-	return out
-}
-
 // Decimate returns a copy keeping every factor-th minute — a time
-// compression that preserves the trace's shape (unlike Truncate, which can
-// cut bursts off entirely).
+// compression that preserves the trace's shape.
 func (t *Trace) Decimate(factor int) *Trace {
 	if factor < 1 {
 		factor = 1
@@ -162,14 +90,6 @@ func (t *Trace) Decimate(factor int) *Trace {
 		out.RPS = append(out.RPS, t.RPS[i])
 	}
 	return out
-}
-
-// Truncate returns a copy limited to the first n minutes.
-func (t *Trace) Truncate(n int) *Trace {
-	if n > len(t.RPS) {
-		n = len(t.RPS)
-	}
-	return &Trace{Name: t.Name, RPS: append([]float64(nil), t.RPS[:n]...)}
 }
 
 // noise returns a multiplicative jitter factor in [1-amp, 1+amp].

@@ -121,7 +121,7 @@ func TestAtClamping(t *testing.T) {
 	}
 }
 
-func TestScaleTruncate(t *testing.T) {
+func TestScale(t *testing.T) {
 	tr := &Trace{Name: "x", RPS: []float64{1, 2, 3, 4}}
 	s := tr.Scale(2)
 	if s.RPS[3] != 8 {
@@ -129,13 +129,6 @@ func TestScaleTruncate(t *testing.T) {
 	}
 	if tr.RPS[3] != 4 {
 		t.Error("Scale mutated original")
-	}
-	tt := tr.Truncate(2)
-	if tt.Len() != 2 || tt.RPS[1] != 2 {
-		t.Errorf("Truncate = %v", tt.RPS)
-	}
-	if got := tr.Truncate(100).Len(); got != 4 {
-		t.Errorf("Truncate beyond length = %d", got)
 	}
 }
 
@@ -213,38 +206,6 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
-func TestConcatRepeatOverlay(t *testing.T) {
-	a := &Trace{Name: "a", RPS: []float64{1, 2}}
-	b := &Trace{Name: "b", RPS: []float64{10}}
-	c := a.Concat(b, a)
-	want := []float64{1, 2, 10, 1, 2}
-	if c.Len() != len(want) {
-		t.Fatalf("concat len = %d", c.Len())
-	}
-	for i, w := range want {
-		if c.RPS[i] != w {
-			t.Fatalf("concat = %v", c.RPS)
-		}
-	}
-	if a.Len() != 2 {
-		t.Error("Concat mutated receiver")
-	}
-	r := a.Repeat(3)
-	if r.Len() != 6 || r.RPS[4] != 1 {
-		t.Errorf("repeat = %v", r.RPS)
-	}
-	if got := a.Repeat(0); got.Len() != 0 {
-		t.Errorf("repeat(0) = %v", got.RPS)
-	}
-	o := a.Overlay(&Trace{RPS: []float64{100, 100, 100}})
-	wantO := []float64{101, 102, 100}
-	for i, w := range wantO {
-		if o.RPS[i] != w {
-			t.Fatalf("overlay = %v, want %v", o.RPS, wantO)
-		}
-	}
-}
-
 func TestDiurnal(t *testing.T) {
 	tr := Diurnal(2880, 3) // two days
 	if tr.Len() != 2880 {
@@ -258,34 +219,5 @@ func TestDiurnal(t *testing.T) {
 	day2noon := tr.RPS[1440+14*60]
 	if day2noon < 0.7*noon || day2noon > 1.3*noon {
 		t.Errorf("pattern should repeat daily: %v vs %v", day2noon, noon)
-	}
-}
-
-func TestResample(t *testing.T) {
-	tr := &Trace{Name: "x", RPS: []float64{0, 10, 20}}
-	up := tr.Resample(5)
-	want := []float64{0, 5, 10, 15, 20}
-	for i, w := range want {
-		if up.RPS[i] != w {
-			t.Fatalf("upsample = %v, want %v", up.RPS, want)
-		}
-	}
-	down := up.Resample(3)
-	for i, w := range []float64{0, 10, 20} {
-		if down.RPS[i] != w {
-			t.Fatalf("downsample = %v", down.RPS)
-		}
-	}
-	if got := tr.Resample(0); got.Len() != 0 {
-		t.Errorf("n=0 should be empty")
-	}
-	single := (&Trace{RPS: []float64{7}}).Resample(4)
-	for _, v := range single.RPS {
-		if v != 7 {
-			t.Fatalf("single-point resample = %v", single.RPS)
-		}
-	}
-	if got := (&Trace{}).Resample(3); got.Len() != 0 {
-		t.Errorf("empty trace resample = %v", got.RPS)
 	}
 }
