@@ -28,8 +28,8 @@ race:
 # allocations for a warm Manager.Signals decision point, for the warm
 # stats kernels and for the engine's per-call Tick (the *ZeroAlloc tests),
 # and hold the serving path to its counts (the *Allocs tests): a warm
-# ingest-body decode, one allocation per encoded ledger decision, one per
-# engine-less (serving) loop.New. Run without -race (its instrumentation
+# ingest-body decode, none for a ledger request of 50 appends and its
+# Sync, one per engine-less (serving) loop.New. Run without -race (its instrumentation
 # allocates).
 alloc-gate:
 	$(GO) test -run 'ZeroAlloc|Allocs' -count=1 ./internal/telemetry ./internal/stats ./internal/engine \

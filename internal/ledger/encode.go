@@ -214,20 +214,11 @@ func decodeSnapshot(d *decBuf, s *telemetry.Snapshot) {
 	s.PhysicalWrites = d.f64()
 }
 
-// decisionFixedLen is the payload length of a DecisionRecord whose strings
-// and explanations are all empty: every fixed-width field plus every length
-// prefix. EncodeDecision sizes its buffer from it, so one record is one
-// allocation.
-const decisionFixedLen = 511
-
-// EncodeDecision renders one DecisionRecord as its canonical payload bytes
-// (no frame header or checksum — the Writer adds those).
-func EncodeDecision(r *loop.DecisionRecord) []byte {
-	n := decisionFixedLen + len(r.Tenant) + len(r.Snapshot.Container) + len(r.Actual) + len(r.Target)
-	for _, s := range r.Explanations {
-		n += 4 + len(s)
-	}
-	e := &encBuf{b: make([]byte, 0, n)}
+// EncodeDecision appends one DecisionRecord's canonical payload bytes to b
+// and returns the extended buffer (no frame header or checksum — the
+// Writer adds those).
+func EncodeDecision(b []byte, r *loop.DecisionRecord) []byte {
+	e := &encBuf{b: b}
 	e.str(r.Tenant)
 	e.i64(r.Interval)
 	encodeSnapshot(e, &r.Snapshot)
@@ -332,9 +323,10 @@ func decodeDecision(payload []byte, skip bool, r *loop.DecisionRecord) error {
 	return nil
 }
 
-// EncodeLineItem renders one billing line-item as its canonical payload.
-func EncodeLineItem(it *LineItem) []byte {
-	e := &encBuf{b: make([]byte, 0, 64+len(it.Tenant)+len(it.Container))}
+// EncodeLineItem appends one billing line-item's canonical payload to b
+// and returns the extended buffer.
+func EncodeLineItem(b []byte, it *LineItem) []byte {
+	e := &encBuf{b: b}
 	e.str(it.Tenant)
 	e.i64(it.Interval)
 	e.str(it.Container)

@@ -4,40 +4,56 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"daasscale/internal/loop"
 )
 
-// TestDecisionFixedLen pins decisionFixedLen to the codec and checks that
-// EncodeDecision sizes its buffer exactly.
-func TestDecisionFixedLen(t *testing.T) {
-	if got := len(EncodeDecision(&loop.DecisionRecord{})); got != decisionFixedLen {
-		t.Fatalf("an empty record encodes to %d bytes, decisionFixedLen is %d", got, decisionFixedLen)
+// TestAppendSyncAllocs: a writer borrows its pending buffer for one
+// request and encodes every frame straight into it, so a steady-state
+// request — 50 decisions, their 50 line items and the Sync that writes
+// them once — allocates nothing.
+func TestAppendSyncAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
 	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 200; i++ {
-		r := randRecord(rng)
-		if p := EncodeDecision(&r); cap(p) != len(p) {
-			t.Fatalf("record %d: %d bytes in a buffer of %d", i, len(p), cap(p))
+	w, err := OpenWriter(filepath.Join(t.TempDir(), "t.ledger"), WithSyncEvery(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	rng := rand.New(rand.NewSource(5))
+	recs := make([]loop.DecisionRecord, 50)
+	for i := range recs {
+		recs[i] = randRecord(rng)
+		recs[i].Explanations = []string{"warming up: not enough telemetry history", "container B2 → B3"}
+	}
+	request := func() {
+		for i := range recs {
+			if err := w.AppendDecision(recs[i]); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.AppendLineItem(LineItemFor(recs[i])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
 		}
 	}
-}
-
-func TestEncodeDecisionAllocs(t *testing.T) {
-	r := randRecord(rand.New(rand.NewSource(5)))
-	r.Explanations = []string{"warming up: not enough telemetry history", "container B2 → B3"}
-	if got := testing.AllocsPerRun(100, func() { EncodeDecision(&r) }); got != 1 {
-		t.Fatalf("EncodeDecision: %.1f allocations, want exactly 1", got)
+	request() // grows the pooled buffer to a request's size
+	if got := testing.AllocsPerRun(20, request); got != 0 {
+		t.Fatalf("append+Sync of 50 decisions: %.1f allocations, want 0", got)
 	}
 }
 
 // TestDecodeRejectsNonCanonicalBool: a bool byte other than 0 or 1 is
 // corruption, not true — two payloads never decode to the same record.
 func TestDecodeRejectsNonCanonicalBool(t *testing.T) {
-	p := EncodeDecision(&loop.DecisionRecord{Changed: true})
+	p := EncodeDecision(nil, &loop.DecisionRecord{Changed: true})
 	off := 0 // the Changed byte: where p differs from an all-false record
-	for p[off] == EncodeDecision(&loop.DecisionRecord{})[off] {
+	for p[off] == EncodeDecision(nil, &loop.DecisionRecord{})[off] {
 		off++
 	}
 	if _, err := DecodeDecision(p); err != nil {
@@ -60,9 +76,9 @@ func FuzzDecodeDecision(f *testing.F) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 16; i++ {
 		r := randRecord(rng)
-		f.Add(EncodeDecision(&r))
+		f.Add(EncodeDecision(nil, &r))
 		it := LineItemFor(r)
-		f.Add(EncodeLineItem(&it))
+		f.Add(EncodeLineItem(nil, &it))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		r, err := DecodeDecision(payload)
@@ -70,7 +86,7 @@ func FuzzDecodeDecision(f *testing.F) {
 			t.Fatalf("decision: skip-mode decode says %v, full decode %v", serr, err)
 		}
 		if err == nil {
-			if got := EncodeDecision(&r); !bytes.Equal(got, payload) {
+			if got := EncodeDecision(nil, &r); !bytes.Equal(got, payload) {
 				t.Fatalf("decision re-encodes to different bytes\nin  %x\nout %x", payload, got)
 			}
 		}
@@ -79,7 +95,7 @@ func FuzzDecodeDecision(f *testing.F) {
 			t.Fatalf("line item: skip-mode decode says %v, full decode %v", serr, err)
 		}
 		if err == nil {
-			if got := EncodeLineItem(&it); !bytes.Equal(got, payload) {
+			if got := EncodeLineItem(nil, &it); !bytes.Equal(got, payload) {
 				t.Fatalf("line item re-encodes to different bytes\nin  %x\nout %x", payload, got)
 			}
 		}
@@ -97,8 +113,8 @@ func FuzzScanFrames(f *testing.F) {
 		image := headerBytes()
 		for i := 0; i < n; i++ {
 			r := randRecord(rng)
-			image = append(image, rawFrame(KindDecision, EncodeDecision(&r))...)
-			image = append(image, rawFrame(KindLineItem, EncodeLineItem(&LineItem{Tenant: r.Tenant, Interval: i}))...)
+			image = append(image, rawFrame(KindDecision, EncodeDecision(nil, &r))...)
+			image = append(image, rawFrame(KindLineItem, EncodeLineItem(nil, &LineItem{Tenant: r.Tenant, Interval: i}))...)
 		}
 		for _, cut := range []int{len(image), len(image) - 1, len(image) - 14, headerLen + 3, headerLen - 1} {
 			if cut >= 0 && cut <= len(image) {
@@ -124,7 +140,7 @@ func FuzzScanFramedPayloads(f *testing.F) {
 	rng := rand.New(rand.NewSource(12))
 	for i := 0; i < 3; i++ {
 		r := randRecord(rng)
-		dec, item := EncodeDecision(&r), EncodeLineItem(&LineItem{Tenant: r.Tenant, Interval: i})
+		dec, item := EncodeDecision(nil, &r), EncodeLineItem(nil, &LineItem{Tenant: r.Tenant, Interval: i})
 		add(dec, KindDecision, item, KindLineItem, 0)              // billed
 		add(dec, KindDecision, item, KindLineItem, 3)              // torn line item
 		add(item, KindLineItem, dec[:len(dec)/2], KindDecision, 0) // undecodable decision

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"syscall"
 	"testing"
 
 	"daasscale/internal/diskfaults"
+	"daasscale/internal/fsio"
 	"daasscale/internal/loop"
 )
 
@@ -62,6 +65,78 @@ func TestWriterPoisonedAfterFailedSync(t *testing.T) {
 	}
 	if err := w.Close(); !errors.Is(err, ErrWriterFailed) {
 		t.Fatalf("close of poisoned writer: err = %v, want ErrWriterFailed", err)
+	}
+}
+
+// TestAppendAfterClose: a closed writer refuses appends with an error
+// wrapping os.ErrClosed and latches it, whatever the filesystem does with
+// a closed handle, and the ledger keeps exactly what was synced.
+func TestAppendAfterClose(t *testing.T) {
+	m, memPath := memLedger(t)
+	for _, c := range []struct {
+		name string
+		fsys fsio.FS
+		path string
+	}{
+		{"os", fsio.OS, filepath.Join(t.TempDir(), "t.ledger")},
+		{"memfs", m, memPath},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w, err := OpenWriterFS(c.fsys, c.path, WithSyncEvery(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := randRecord(rand.New(rand.NewSource(11)))
+			if err := w.AppendDecision(rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.AppendDecision(rec); !errors.Is(err, os.ErrClosed) {
+				t.Fatalf("append after Close: err = %v, want os.ErrClosed", err)
+			}
+			if !errors.Is(w.Failed(), os.ErrClosed) {
+				t.Fatalf("append after Close latched %v, want os.ErrClosed", w.Failed())
+			}
+			if err := w.AppendLineItem(LineItemFor(rec)); !errors.Is(err, ErrWriterFailed) || !errors.Is(err, os.ErrClosed) {
+				t.Fatalf("second append after Close: err = %v, want ErrWriterFailed wrapping os.ErrClosed", err)
+			}
+			log, err := ReplayFS(c.fsys, c.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(log.Entries); n != 1 || log.Truncated {
+				t.Fatalf("ledger after appends past Close: %d records (truncated %v), want the 1 synced", n, log.Truncated)
+			}
+		})
+	}
+}
+
+// TestWriteThroughBound: a writer whose caller never syncs writes its
+// pending frames out once they pass writeThrough, without an fsync.
+func TestWriteThroughBound(t *testing.T) {
+	m, path := memLedger(t)
+	w, err := OpenWriterFS(m, path, WithSyncEvery(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(13))
+	for w.Bytes() < headerLen+writeThrough {
+		if err := w.AppendDecision(randRecord(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := m.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(data)) != w.Bytes() || w.buf != nil || w.Syncs() != 0 {
+		t.Fatalf("past the bound: %d bytes in the file of %d appended, buffer held %v, %d syncs; want all written, none held, no sync",
+			len(data), w.Bytes(), w.buf != nil, w.Syncs())
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -261,9 +336,9 @@ func streamBytes(l *Log) []byte {
 	for _, e := range l.Entries {
 		switch {
 		case e.Decision != nil:
-			out = append(out, EncodeDecision(e.Decision)...)
+			out = append(out, EncodeDecision(nil, e.Decision)...)
 		case e.Item != nil:
-			out = append(out, EncodeLineItem(e.Item)...)
+			out = append(out, EncodeLineItem(nil, e.Item)...)
 		}
 	}
 	return out
@@ -289,8 +364,8 @@ func TestStreamBytesPrefixAcrossRotation(t *testing.T) {
 		if err := w.AppendLineItem(it); err != nil {
 			t.Fatalf("append item: %v", err)
 		}
-		live = append(live, EncodeDecision(&rec)...)
-		live = append(live, EncodeLineItem(&it)...)
+		live = append(live, EncodeDecision(nil, &rec)...)
+		live = append(live, EncodeLineItem(nil, &it)...)
 		if i == 4 {
 			if err := w.Rotate(); err != nil {
 				t.Fatalf("Rotate: %v", err)

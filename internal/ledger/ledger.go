@@ -37,7 +37,6 @@
 package ledger
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -70,6 +69,9 @@ const (
 	// maxPayload bounds a single record payload; a length field beyond it
 	// is treated as corruption rather than an allocation request.
 	maxPayload = 1 << 24
+	// writeThrough bounds the pending frames: past it an append writes
+	// them out unsynced, so a caller that rarely syncs holds no more.
+	writeThrough = 1 << 20
 	// sealSuffix separates a sealed segment's sequence number from the
 	// active ledger path it was rotated out of.
 	sealSuffix = ".seal-"
@@ -144,9 +146,10 @@ func WithSyncEvery(n int) WriterOption {
 // the possibly-torn segment. Rotate seals the damaged segment and opens a
 // fresh one, clearing the poison; Failed reports the latched cause.
 type Writer struct {
-	fsys      fsio.FS
-	f         fsio.File
-	bw        *bufio.Writer
+	fsys fsio.FS
+	f    fsio.File
+	// buf holds the frames appended since the last write; nil after it.
+	buf       *[]byte
 	path      string
 	syncEvery int
 	pending   int
@@ -219,13 +222,14 @@ func Open(fsys fsio.FS, path string, seals []string, opts ...WriterOption) (*Wri
 		return nil, Tail{}, err
 	}
 	w.f = f
-	w.bw = bufio.NewWriterSize(f, 1<<16)
 	return w, tail, nil
 }
 
-// readBufs recycles recoverActive's read buffer (a *[]byte) across opens:
-// the image is only scanned, and nothing Open returns points into it.
-var readBufs sync.Pool
+// bufs recycles byte buffers (a *[]byte, always of length 0) across
+// writers: recoverActive's read buffer, which is only scanned, and the
+// pending frames, which are written out before the buffer goes back.
+// Nothing retained points into either.
+var bufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // recoverActive reads the active segment through its append handle (one
 // sized read), repairs what a crash can leave, and positions f for
@@ -235,12 +239,11 @@ func (w *Writer) recoverActive(f fsio.File, tail *Tail) error {
 	if err != nil {
 		return fmt.Errorf("ledger: %w", err)
 	}
-	buf, _ := readBufs.Get().(*[]byte)
-	if buf == nil || int64(cap(*buf)) < st.Size() {
-		buf = new([]byte)
-		*buf = make([]byte, st.Size())
+	buf := bufs.Get().(*[]byte)
+	if int64(cap(*buf)) < st.Size() {
+		*buf = make([]byte, 0, st.Size())
 	}
-	defer readBufs.Put(buf)
+	defer bufs.Put(buf)
 	data := (*buf)[:st.Size()]
 	if _, err := io.ReadFull(f, data); err != nil {
 		return fmt.Errorf("ledger: %w", err)
@@ -329,58 +332,93 @@ func (w *Writer) fail(err error) error {
 // nil while it is healthy.
 func (w *Writer) Failed() error { return w.failed }
 
-// appendFrame writes one framed record and applies the sync policy.
-// Failure is sticky: after the first error the segment tail may be torn,
-// so every further append is refused until Rotate — appending past a torn
-// frame would bury it mid-file where recovery cannot truncate it.
-func (w *Writer) appendFrame(kind byte, payload []byte) error {
+// frameHead returns the pending buffer with a frame head (kind, length
+// placeholder) appended, for the payload to be encoded after it. Failure
+// is sticky: after the first error the segment tail may be torn, so every
+// further append is refused until Rotate — appending past a torn frame
+// would bury it mid-file where recovery cannot truncate it.
+func (w *Writer) frameHead(kind byte) ([]byte, error) {
 	if w.failed != nil {
-		return w.poisonErr()
+		return nil, w.poisonErr()
 	}
-	if len(payload) > maxPayload {
+	if w.f == nil {
+		return nil, w.fail(fmt.Errorf("ledger: append: %w", os.ErrClosed))
+	}
+	if w.buf == nil {
+		w.buf = bufs.Get().(*[]byte)
+	}
+	return append(*w.buf, kind, 0, 0, 0, 0), nil
+}
+
+// appendFrame completes the frame frameHead began in b — length and CRC —
+// and applies the sync policy and the write-through bound.
+func (w *Writer) appendFrame(b []byte) error {
+	start := len(*w.buf)
+	plen := len(b) - start - 5
+	if plen > maxPayload {
 		// An oversized record is a caller bug, not a storage fault: nothing
 		// was written, so the writer stays healthy.
-		return fmt.Errorf("ledger: record payload of %d bytes exceeds the %d-byte frame limit", len(payload), maxPayload)
+		*w.buf = b[:start]
+		return fmt.Errorf("ledger: record payload of %d bytes exceeds the %d-byte frame limit", plen, maxPayload)
 	}
-	var head [5]byte
-	head[0] = kind
-	binary.LittleEndian.PutUint32(head[1:], uint32(len(payload)))
-	crc := crc32.Update(0, crcTable, head[:])
-	crc = crc32.Update(crc, crcTable, payload)
-	if _, err := w.bw.Write(head[:]); err != nil {
-		return w.fail(fmt.Errorf("ledger: %w", err))
-	}
-	if _, err := w.bw.Write(payload); err != nil {
-		return w.fail(fmt.Errorf("ledger: %w", err))
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc)
-	if _, err := w.bw.Write(tail[:]); err != nil {
-		return w.fail(fmt.Errorf("ledger: %w", err))
-	}
+	binary.LittleEndian.PutUint32(b[start+1:], uint32(plen))
+	*w.buf = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[start:], crcTable))
 	w.records++
-	w.bytes += int64(frameOverhead + len(payload))
+	w.bytes += int64(frameOverhead + plen)
 	w.pending++
 	if w.syncEvery > 0 && w.pending >= w.syncEvery {
 		return w.Sync()
+	}
+	if len(*w.buf) >= writeThrough {
+		return w.write()
 	}
 	return nil
 }
 
 // AppendDecision appends one decision record.
 func (w *Writer) AppendDecision(r loop.DecisionRecord) error {
-	return w.appendFrame(KindDecision, EncodeDecision(&r))
+	b, err := w.frameHead(KindDecision)
+	if err != nil {
+		return err
+	}
+	return w.appendFrame(EncodeDecision(b, &r))
 }
 
 // AppendLineItem appends one billing line-item.
 func (w *Writer) AppendLineItem(it LineItem) error {
-	return w.appendFrame(KindLineItem, EncodeLineItem(&it))
+	b, err := w.frameHead(KindLineItem)
+	if err != nil {
+		return err
+	}
+	return w.appendFrame(EncodeLineItem(b, &it))
 }
 
-// Sync flushes buffered frames and fsyncs the file: every record appended
-// so far is durable when Sync returns (a no-op when none was since the
-// last Sync). A flush or fsync error poisons the writer (the segment tail
-// state is unknown after a failed fsync).
+// write writes the pending frames with one Write; a failure poisons.
+func (w *Writer) write() error {
+	if w.buf == nil {
+		return nil
+	}
+	_, err := w.f.Write(*w.buf)
+	w.release()
+	if err != nil {
+		return w.fail(fmt.Errorf("ledger: %w", err))
+	}
+	return nil
+}
+
+// release returns the pending buffer, dropping whatever it holds.
+func (w *Writer) release() {
+	if w.buf != nil {
+		*w.buf = (*w.buf)[:0]
+		bufs.Put(w.buf)
+		w.buf = nil
+	}
+}
+
+// Sync writes the pending frames and fsyncs the file: every record
+// appended so far is durable when Sync returns (a no-op when none was
+// since the last Sync). A write or fsync error poisons the writer (the
+// segment tail state is unknown after a failed fsync).
 func (w *Writer) Sync() error {
 	if w.failed != nil {
 		return w.poisonErr()
@@ -388,8 +426,8 @@ func (w *Writer) Sync() error {
 	if w.pending == 0 {
 		return nil
 	}
-	if err := w.bw.Flush(); err != nil {
-		return w.fail(fmt.Errorf("ledger: %w", err))
+	if err := w.write(); err != nil {
+		return err
 	}
 	if err := w.f.Sync(); err != nil {
 		return w.fail(fmt.Errorf("ledger: %w", err))
@@ -411,12 +449,12 @@ func (w *Writer) Sync() error {
 // retried; a half-completed previous rotation (segment already renamed)
 // is detected and resumed rather than treated as an error.
 func (w *Writer) Rotate() error {
-	// The old handle and any bytes buffered past the failure point are
+	// The old handle and any bytes pending past the failure point are
 	// abandoned deliberately — they are exactly what must not reach disk.
+	w.release()
 	if w.f != nil {
 		w.f.Close()
 		w.f = nil
-		w.bw = nil
 	}
 	seq := 1
 	if n := len(w.sealed); n > 0 {
@@ -443,7 +481,6 @@ func (w *Writer) Rotate() error {
 		return w.fail(err)
 	}
 	w.f = f
-	w.bw = bufio.NewWriterSize(f, 1<<16)
 	w.records = 0
 	w.bytes = headerLen
 	w.pending = 0
@@ -512,8 +549,8 @@ func listDir(fsys fsio.FS, dir, prefix string) (Index, error) {
 }
 
 // Close syncs and closes the file. A poisoned writer skips the sync —
-// flushing buffered bytes after a failure could bury a torn frame — and
-// returns the poison error after releasing the handle.
+// writing pending bytes after a failure could bury a torn frame — and
+// returns the poison error after dropping them and releasing the handle.
 func (w *Writer) Close() error {
 	if w.f == nil {
 		if w.failed != nil {
@@ -527,6 +564,7 @@ func (w *Writer) Close() error {
 	} else {
 		syncErr = w.Sync()
 	}
+	w.release()
 	closeErr := w.f.Close()
 	w.f = nil
 	if syncErr != nil {

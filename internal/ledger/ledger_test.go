@@ -99,14 +99,14 @@ func randRecord(rng *rand.Rand) loop.DecisionRecord {
 // recordsEqual compares two records by canonical encoding, which treats
 // NaN bit patterns exactly (DeepEqual would reject NaN == NaN).
 func recordsEqual(a, b loop.DecisionRecord) bool {
-	return bytes.Equal(EncodeDecision(&a), EncodeDecision(&b))
+	return bytes.Equal(EncodeDecision(nil, &a), EncodeDecision(nil, &b))
 }
 
 func TestDecisionCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
 		want := randRecord(rng)
-		payload := EncodeDecision(&want)
+		payload := EncodeDecision(nil, &want)
 		got, err := DecodeDecision(payload)
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
@@ -116,7 +116,7 @@ func TestDecisionCodecRoundTrip(t *testing.T) {
 		}
 		// Re-encoding the decoded record must be byte-identical — the
 		// codec is canonical.
-		if !bytes.Equal(payload, EncodeDecision(&got)) {
+		if !bytes.Equal(payload, EncodeDecision(nil, &got)) {
 			t.Fatalf("record %d: re-encoding is not byte-identical", i)
 		}
 		// Any truncation of the payload must fail to decode.
@@ -132,14 +132,14 @@ func TestDecisionCodecRoundTrip(t *testing.T) {
 
 func TestLineItemCodecRoundTrip(t *testing.T) {
 	want := LineItem{Tenant: "t-7", Interval: 12, Container: "B4", Cost: 13.25}
-	got, err := DecodeLineItem(EncodeLineItem(&want))
+	got, err := DecodeLineItem(EncodeLineItem(nil, &want))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
 		t.Fatalf("round trip: got %+v want %+v", got, want)
 	}
-	if _, err := DecodeLineItem(EncodeLineItem(&want)[:5]); err == nil {
+	if _, err := DecodeLineItem(EncodeLineItem(nil, &want)[:5]); err == nil {
 		t.Fatal("truncated line item decoded")
 	}
 }
@@ -190,7 +190,7 @@ func TestWriterReplayRoundTrip(t *testing.T) {
 		if !recordsEqual(recs[i], got[i]) {
 			t.Fatalf("decision %d drifted", i)
 		}
-		if want := LineItemFor(recs[i]); !bytes.Equal(EncodeLineItem(&want), EncodeLineItem(&items[i])) {
+		if want := LineItemFor(recs[i]); !bytes.Equal(EncodeLineItem(nil, &want), EncodeLineItem(nil, &items[i])) {
 			t.Fatalf("line item %d drifted: got %+v want %+v", i, items[i], want)
 		}
 	}
@@ -226,9 +226,9 @@ func TestTornTailRecovery(t *testing.T) {
 	for _, e := range log.Entries {
 		var plen int
 		if e.Decision != nil {
-			plen = len(EncodeDecision(e.Decision))
+			plen = len(EncodeDecision(nil, e.Decision))
 		} else {
-			plen = len(EncodeLineItem(e.Item))
+			plen = len(EncodeLineItem(nil, e.Item))
 		}
 		frameEnds = append(frameEnds, frameEnds[len(frameEnds)-1]+int64(frameOverhead+plen))
 	}
@@ -427,7 +427,7 @@ func simGolden(t *testing.T, name string, fp faults.Plan, act actuate.Config) {
 		t.Fatalf("replayed %d decisions, live run has %d", len(replayed), len(live))
 	}
 	for i := range live {
-		if !bytes.Equal(EncodeDecision(&live[i]), EncodeDecision(&replayed[i])) {
+		if !bytes.Equal(EncodeDecision(nil, &live[i]), EncodeDecision(nil, &replayed[i])) {
 			t.Fatalf("%s: decision %d not byte-identical to live record", name, i)
 		}
 		// The looser structural check too, for fields DeepEqual can see.

@@ -227,7 +227,7 @@ func TestOpenSinglePassProperty(t *testing.T) {
 func TestOpenRefusesUndecodableFrames(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	rec := randRecord(rng)
-	good := append(rawFrame(KindDecision, EncodeDecision(&rec)), rawFrame(KindLineItem, EncodeLineItem(&LineItem{Tenant: "t"}))...)
+	good := append(rawFrame(KindDecision, EncodeDecision(nil, &rec)), rawFrame(KindLineItem, EncodeLineItem(nil, &LineItem{Tenant: "t"}))...)
 	for name, bad := range map[string][]byte{
 		"unknown kind":         rawFrame(9, []byte("from the future")),
 		"undecodable decision": rawFrame(KindDecision, []byte("x")),

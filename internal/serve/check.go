@@ -116,7 +116,7 @@ func checkLog(id string, log *ledger.Log) (LedgerCheck, error) {
 	}
 	for i, it := range items {
 		want := ledger.LineItemFor(decs[i])
-		if !bytes.Equal(ledger.EncodeLineItem(&it), ledger.EncodeLineItem(&want)) {
+		if !bytes.Equal(ledger.EncodeLineItem(nil, &it), ledger.EncodeLineItem(nil, &want)) {
 			return c, fmt.Errorf("serve: verify %s: line item %d (%+v) does not derive from its decision (%+v) — wrong bill", id, i, it, want)
 		}
 	}

@@ -49,7 +49,7 @@ func (r trackerRec) Record(d loop.DecisionRecord) {
 		m = map[int][]byte{}
 		r.lt.last[r.id] = m
 	}
-	m[d.Interval] = ledger.EncodeDecision(&d)
+	m[d.Interval] = ledger.EncodeDecision(nil, &d)
 }
 
 // crashShape is one workload pattern the sweep runs: how snapshots are
@@ -264,7 +264,7 @@ func runCrashScenario(t *testing.T, shape crashShape, kind diskfaults.Kind, at i
 		if want == nil {
 			t.Fatalf("replayed decision %d was never produced by the live loop", i)
 		}
-		if !bytes.Equal(ledger.EncodeDecision(&d), want) {
+		if !bytes.Equal(ledger.EncodeDecision(nil, &d), want) {
 			t.Fatalf("replayed decision %d diverges from the last live decision for interval %d", i, i)
 		}
 	}

@@ -517,6 +517,46 @@ func TestCloseTwiceDuringIngest(t *testing.T) {
 	}
 }
 
+// TestNoWriteAfterClose: a resident tenant's POST after Close is refused
+// before it steps the loop, and stays refused once a probe interval has
+// passed — a recovery probe would rotate a fresh segment open behind the
+// closed server and ack writes nobody drains. Reads keep serving the
+// durable prefix.
+func TestNoWriteAfterClose(t *testing.T) {
+	mem := diskfaults.NewMemFS()
+	clock := newFakeClock()
+	s, err := New(Config{LedgerDir: "/led", FS: mem, ProbeInterval: 5 * time.Second, Now: clock.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := ingestCode(s, "t0000", 0); code != http.StatusOK {
+		t.Fatalf("POST before Close: status %d", code)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, wait := range []time.Duration{0, 2 * s.probeInterval} {
+		clock.advance(wait)
+		if code := ingestCode(s, "t0000", 1); code != http.StatusServiceUnavailable {
+			t.Fatalf("POST %d after Close: status %d, want 503", i, code)
+		}
+	}
+	var bill billReply
+	if code := get(t, s, "/v1/tenants/t0000/bill", &bill); code != http.StatusOK || len(bill.LineItems) != 1 {
+		t.Fatalf("bill after Close: status %d, %d line items; want 200, 1", code, len(bill.LineItems))
+	}
+	ents, err := mem.ReadDir("/led")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "t0000"+ledgerExt {
+		t.Fatalf("ledger directory after POSTs past Close holds %d entries, want the one active segment", len(ents))
+	}
+	if _, err := VerifyLedgers(mem, "/led", map[string]int{"t0000": 1}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFailedOpenIsRetried: an open that fails leaves no map entry — the
 // next request opens again, and a listing failure fails New itself.
 func TestFailedOpenIsRetried(t *testing.T) {

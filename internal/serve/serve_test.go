@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -460,8 +461,8 @@ func TestServeReplayEqualsLive(t *testing.T) {
 		t.Fatalf("replayed %d, live %d, want 60", len(replayed), len(live.recs))
 	}
 	for i := range replayed {
-		lb := ledger.EncodeDecision(&live.recs[i])
-		rb := ledger.EncodeDecision(&replayed[i])
+		lb := ledger.EncodeDecision(nil, &live.recs[i])
+		rb := ledger.EncodeDecision(nil, &replayed[i])
 		if !bytes.Equal(lb, rb) {
 			t.Fatalf("decision %d: replay differs from live\nlive:   %+v\nreplay: %+v", i, live.recs[i], replayed[i])
 		}
@@ -681,5 +682,62 @@ func TestServeConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{LedgerDir: filepath.Join(t.TempDir(), "nested", "dir")}); err != nil {
 		t.Fatalf("nested ledger dir: %v", err)
+	}
+}
+
+// noSyncFS is the real filesystem without fsyncs: what a resident tenant
+// costs the heap does not depend on them, and skipping them keeps a
+// thousand-tenant test fast.
+type noSyncFS struct{ fsio.FS }
+
+func (n noSyncFS) OpenFile(name string, flag int, perm os.FileMode) (fsio.File, error) {
+	f, err := n.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return noSyncFile{f}, nil
+}
+
+func (noSyncFS) SyncDir(string) error { return nil }
+
+type noSyncFile struct{ fsio.File }
+
+func (noSyncFile) Sync() error { return nil }
+
+// TestResidentBytesPerTenant bounds what a resident tenant holds between
+// requests: the live heap grown by N more tenants, each opened and fed a
+// 20-snapshot batch, divided by N. A ledger writer that owned its write
+// buffer for the tenant's life held about 70 KB here.
+func TestResidentBytesPerTenant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory inflates the heap")
+	}
+	const n = 500
+	s, err := New(Config{LedgerDir: t.TempDir(), FS: noSyncFS{fsio.OS}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	body := batchBody(t, 0, 20)
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // a second cycle empties sync.Pool's victim cache
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var base uint64
+	for i := 0; i < 2*n; i++ {
+		if i == n {
+			base = heap()
+		}
+		if code, reply := call(s, "POST", "/v1/tenants/"+tenantName(i)+"/telemetry", body); code != http.StatusOK {
+			t.Fatalf("tenant %d: status %d: %s", i, code, reply)
+		}
+	}
+	perTenant := float64(heap()-base) / n / 1024
+	t.Logf("%.1f KB per resident tenant", perTenant)
+	if perTenant > 16 {
+		t.Fatalf("%.1f KB per resident tenant, want at most 16", perTenant)
 	}
 }

@@ -78,6 +78,11 @@ type tenant struct {
 	quarantined bool
 	quarErr     error
 	lastProbe   time.Time
+
+	// closed is set by drain: the ledger is closed, and ingest refuses
+	// before it steps the loop or probes (a probe would rotate a fresh
+	// segment open behind the closed server).
+	closed bool
 }
 
 // ingestCounts summarizes what one ingest call did, for the HTTP reply
@@ -333,6 +338,9 @@ func (t *tenant) ingest(batch []ingestItem) (ingestCounts, int, error) {
 	defer t.mu.Unlock()
 
 	counts := ingestCounts{}
+	if t.closed {
+		return counts, http.StatusServiceUnavailable, fmt.Errorf("serve: draining")
+	}
 	if t.quarantined && !t.tryRecover() {
 		return counts, http.StatusServiceUnavailable, fmt.Errorf("serve: tenant %s degraded (storage failure): %v", t.id, t.quarErr)
 	}
@@ -400,6 +408,7 @@ func (t *tenant) ingest(batch []ingestItem) (ingestCounts, int, error) {
 func (t *tenant) drain() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.closed = true
 	if t.quarantined {
 		t.led.Close()
 		return nil
